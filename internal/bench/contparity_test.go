@@ -148,6 +148,9 @@ func TestContModeParity(t *testing.T) {
 					if !reflect.DeepEqual(stG, stC) {
 						t.Errorf("RunStats diverged:\n goroutine: %+v\n cont:      %+v", stG, stC)
 					}
+					name := pc.name + "/" + mark
+					checkGolden(t, name, fingerprint{stG.KernelEvents, stG.Elapsed, ckG})
+					checkGolden(t, name, fingerprint{stC.KernelEvents, stC.Elapsed, ckC})
 				})
 			}
 		})
@@ -190,6 +193,8 @@ func TestContModeMicroParity(t *testing.T) {
 	if !reflect.DeepEqual(stG, stC) {
 		t.Errorf("micro RunStats diverged:\n goroutine: %+v\n cont:      %+v", stG, stC)
 	}
+	checkGolden(t, "micro", fingerprint{stG.KernelEvents, stG.Elapsed, 0})
+	checkGolden(t, "micro", fingerprint{stC.KernelEvents, stC.Elapsed, 0})
 }
 
 func microBody(t *core.Thread, size int) {

@@ -115,9 +115,14 @@ func TestPressureGates(t *testing.T) {
 		t.Fatalf("lazy registration cache lost to eager pin-all: lazy=%v eager=%v", lazy.Elapsed, eager.Elapsed)
 	}
 	// Output identity across the whole ladder (the sweep also panics on
-	// divergence; assert it visibly here).
+	// divergence; assert it visibly here), against the published
+	// checksum (EXPERIMENTS.md).
+	const pressureChecksum = 0x82c69594d29c3a94
 	for fi := range o.Fracs {
 		r := row(fi)
+		if r[0].Checksum != pressureChecksum {
+			t.Fatalf("frac %.2f: checksum %#x, published %#x", o.Fracs[fi], r[0].Checksum, uint64(pressureChecksum))
+		}
 		for _, p := range r[1:] {
 			if p.Checksum != r[0].Checksum {
 				t.Fatalf("checksum diverged: %s=%#x vs %s=%#x", r[0].Variant, r[0].Checksum, p.Variant, p.Checksum)

@@ -42,6 +42,8 @@ func TestScaleWorkloadParity(t *testing.T) {
 	if g.KernelEvents == 0 {
 		t.Error("workload processed no kernel events")
 	}
+	checkGolden(t, "scale-256-16", fingerprint{g.KernelEvents, g.Elapsed, g.Checksum})
+	checkGolden(t, "scale-256-16", fingerprint{c.KernelEvents, c.Elapsed, c.Checksum})
 }
 
 // TestScalePrint exercises the two-mode comparison printer at test

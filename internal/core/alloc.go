@@ -71,24 +71,12 @@ func (t *Thread) AllAlloc(name string, numElems int64, elemSize int, block int64
 // above the runtime (internal/kv) can label their segments distinctly
 // in every replica's directory.
 func (t *Thread) AllAllocKind(kind svd.Kind, name string, numElems int64, elemSize int, block int64) *SharedArray {
-	if numElems <= 0 || elemSize <= 0 {
-		panic(fmt.Sprintf("core: AllAlloc(%s) with nonpositive size", name))
-	}
-	span := t.rt.tel.StartSpan("alloc", t.id, t.ns.id, t.p.Now())
-	span.SetProto("collective")
-	t.Barrier()
-	ns := t.ns
-	if t.isNodeRep() {
-		l := t.rt.layout(elemSize, block, numElems)
-		idx := ns.dir.NextIndex(svd.AllPartition)
-		h := svd.Handle{Part: svd.AllPartition, Index: idx}
-		t.Compute(allocCPUCost)
-		ns.installArray(h, kind, name, l)
-		ns.collective = &SharedArray{rt: t.rt, h: h, l: l, name: name}
-	}
-	t.Barrier()
-	a := ns.collective.(*SharedArray)
-	span.Finish(t.p.Now())
+	var a *SharedArray
+	t.AllAllocKindC(kind, name, numElems, elemSize, block, func(r *SharedArray) {
+		a = r
+		t.wake()
+	})
+	t.p.Suspend()
 	return a
 }
 
@@ -158,38 +146,15 @@ func (rt *Runtime) layout(elemSize int, block, numElems int64) Layout {
 // RDMA can land in recycled memory. The program must quiesce accesses
 // to the object first (fence + barrier), as UPC requires.
 func (t *Thread) Free(a *SharedArray) {
-	t.Fence()
-	span := t.rt.tel.StartSpan("free", t.id, t.ns.id, t.p.Now())
-	defer func() { span.Finish(t.p.Now()) }()
-	acks := sim.NewCounter(t.rt.K, "free-acks", t.rt.cfg.Nodes-1)
-	req := &freeReq{H: a.h, Acks: acks}
-	for n := 0; n < t.rt.cfg.Nodes; n++ {
-		if n != t.ns.id {
-			t.rt.M.SendAM(t.p, t.ns.id, n, hFreeReq, req, nil, 0)
-		}
-	}
-	t.ns.dropObject(t.p, a.h)
-	acks.Wait(t.p)
+	t.FreeC(a, t.wake)
+	t.p.Suspend()
 }
 
-// dropObject performs the local part of a free on node ns.
+// dropObject performs the local part of a free on node ns, from the
+// process p (a dispatcher serving a remote free request).
 func (ns *nodeState) dropObject(p *sim.Proc, h svd.Handle) {
-	if ns.cache != nil {
-		n := ns.cache.InvalidateHandle(h.Key())
-		p.Sleep(sim.Time(n) * ns.rt.cfg.Profile.CacheLookupCost)
-		ns.rt.recordCacheInval(ns.id, -1, h.Key(), n)
-	}
-	cb, ok := ns.dir.LookupAny(h)
-	if !ok {
-		panic(fmt.Sprintf("core: node %d freeing unknown object %v", ns.id, h))
-	}
-	if cb.HasLocal {
-		if cost := ns.tn.Pins.Unpin(cb.LocalBase, p.Now()); cost > 0 {
-			p.Sleep(cost)
-		}
-		ns.tn.Mem.Free(cb.LocalBase)
-	}
-	ns.dir.MarkFreed(h)
+	ns.dropObjectC(p.Cont(), h, p.WakeFn())
+	p.Suspend()
 }
 
 func (rt *Runtime) handleAllocNotify(p *sim.Proc, n *transport.Node, msg *transport.Msg) {

@@ -78,14 +78,16 @@ func (ns *nodeState) rmw(addr mem.Addr, op transport.AtomicOp, a, b uint64) uint
 // Lock). On RDMA transports with a warm address cache this is one
 // NIC-executed message.
 func (t *Thread) FetchAdd(r Ref, delta uint64) uint64 {
-	return t.atomicRMW(r, transport.AtomicFetchAdd, delta, 0)
+	t.atomicRMWC(r, transport.AtomicFetchAdd, delta, 0, t.ops().u64ResFn)
+	return t.u64Result()
 }
 
 // CompareSwap atomically installs swap in the 8-byte element at r iff
 // it currently equals expect, returning the previous value and whether
 // the swap happened.
 func (t *Thread) CompareSwap(r Ref, expect, swap uint64) (old uint64, swapped bool) {
-	old = t.atomicRMW(r, transport.AtomicCompareSwap, expect, swap)
+	t.atomicRMWC(r, transport.AtomicCompareSwap, expect, swap, t.ops().u64ResFn)
+	old = t.u64Result()
 	return old, old == expect
 }
 
@@ -93,7 +95,8 @@ func (t *Thread) CompareSwap(r Ref, expect, swap uint64) (old uint64, swapped bo
 // fetching the previous value — the response carries no data word, so
 // accumulations batch tighter than FetchAdd.
 func (t *Thread) Accumulate(r Ref, delta uint64) {
-	t.atomicRMW(r, transport.AtomicAccumulate, delta, 0)
+	t.atomicRMWC(r, transport.AtomicAccumulate, delta, 0, t.ops().u64ResFn)
+	t.u64Result()
 }
 
 // AtomicAddU64 is the historical name of FetchAdd, kept for existing
@@ -102,67 +105,9 @@ func (t *Thread) AtomicAddU64(r Ref, delta uint64) uint64 {
 	return t.FetchAdd(r, delta)
 }
 
-// atomicRMW is the blocking remote-atomic driver: local fast path,
-// cache-hit NIC descriptor, NACK healing, AM fallback — the same
-// protocol ladder getRun climbs.
-func (t *Thread) atomicRMW(r Ref, op transport.AtomicOp, a1, a2 uint64) uint64 {
-	checkAtomic(r)
-	a := r.A
-	prof := t.rt.cfg.Profile
-	rn := a.l.NodeOf(r.Idx)
-	off := a.l.ChunkOffset(r.Idx)
-
-	if rn == t.ns.id {
-		// Home-node fast path: shared memory, no network.
-		cb := t.localCB(a)
-		t.p.Sleep(prof.ShmLatency + atomicCPUCost)
-		t.localAtomics++
-		return t.ns.rmw(cb.LocalBase+mem.Addr(off), op, a1, a2)
-	}
-
-	start := t.p.Now()
-	span := t.rt.tel.StartSpan("atomic", t.id, t.ns.id, start)
-	span.SetBytes(op.OperandBytes())
-	t.rt.tel.Add("xlupc_atomic_ops_total", `op="`+op.String()+`"`, 1)
-	defer func() {
-		span.Finish(t.p.Now())
-		t.atomics++
-		t.atomicTime += t.p.Now() - start
-	}()
-
-	if t.ns.cache != nil {
-		t0 := t.p.Now()
-		t.p.Sleep(prof.CacheLookupCost)
-		span.Phase(telemetry.PhaseCacheLookup, t0, t.p.Now())
-		if base, ep, hit := t.ns.cache.LookupEpoch(cacheKey(a.h, rn)); hit {
-			span.SetProto("rdma")
-			old, nack, ok := t.rt.M.RDMAAtomicSpan(t.p, t.ns.id, rn,
-				base, base+mem.Addr(off), op, a1, a2, t.atomicFetchBuf(op), ep, span)
-			if ok {
-				return old
-			}
-			if nack.Stale {
-				// The target restarted under a new incarnation: flush every
-				// cached address for it, then fall through to the AM path,
-				// whose reply re-piggybacks the fresh base.
-				if !t.healStale(rn, nack.Epoch, "atomic", span) {
-					return 0
-				}
-				t.rt.tel.Add("xlupc_atomic_fallbacks_total", `reason="stale_epoch"`, 1)
-			} else {
-				// The target deregistered the region (limited pinning).
-				t.ns.cache.Remove(cacheKey(a.h, rn))
-				t.rt.tel.Add("xlupc_atomic_fallbacks_total", `reason="nack"`, 1)
-			}
-		}
-	}
-	span.SetProto("am")
-	return t.amAtomic(a, rn, off, op, a1, a2, span)
-}
-
-// atomicFetchBuf is the posted 8-byte result buffer of a blocking NIC
-// atomic — the thread's staging word, so fetching atomics allocate
-// nothing; accumulations post none.
+// atomicFetchBuf is the posted 8-byte result buffer of a NIC atomic
+// that completes before the thread moves on — the thread's staging
+// word, so fetching atomics allocate nothing; accumulations post none.
 func (t *Thread) atomicFetchBuf(op transport.AtomicOp) []byte {
 	if op.ResultBytes() == 0 {
 		return nil
@@ -170,20 +115,7 @@ func (t *Thread) atomicFetchBuf(op transport.AtomicOp) []byte {
 	return t.w64[:]
 }
 
-// amAtomic is the active-message atomic: the handler combines on the
-// target CPU and replies with the previous value.
-func (t *Thread) amAtomic(a *SharedArray, rn int, off int64, op transport.AtomicOp, a1, a2 uint64, span *telemetry.Span) uint64 {
-	done := sim.NewCompletion(t.rt.K, "atomic")
-	t.rt.M.SendAMSpan(t.p, t.ns.id, rn, hAtomic,
-		&atomicReq{H: a.h, Off: off, Op: op, A: a1, B: a2, WantAddr: t.ns.cache != nil, Done: done},
-		nil, op.OperandBytes(), span)
-	t.p.Wait(done)
-	old := done.Value().(uint64)
-	t.rt.K.Recycle(done)
-	return old
-}
-
-// --- Continuation-mode twins (mirror the blocking API step for step) ----
+// --- Continuation-passing forms ----------------------------------------
 
 // FetchAddC is Thread.FetchAdd in continuation-passing style.
 func (t *Thread) FetchAddC(r Ref, delta uint64, then func(old uint64)) {
@@ -202,9 +134,11 @@ func (t *Thread) AccumulateC(r Ref, delta uint64, then func()) {
 	t.atomicRMWC(r, transport.AtomicAccumulate, delta, 0, func(uint64) { then() })
 }
 
-// atomicRMWC is atomicRMW in continuation-passing style. The hot paths
-// (local, cache-hit NIC) run on the thread's pre-bound op state so
-// they build no closures; the rare fallbacks may.
+// atomicRMWC is the remote-atomic driver: local fast path, cache-hit
+// NIC descriptor, NACK healing, AM fallback — the same protocol ladder
+// getRunC climbs. The hot paths (local, cache-hit NIC) run on the
+// thread's pre-bound op state so they build no closures; the rare
+// fallbacks may.
 func (t *Thread) atomicRMWC(r Ref, op transport.AtomicOp, a1, a2 uint64, then func(old uint64)) {
 	checkAtomic(r)
 	a := r.A
@@ -226,16 +160,16 @@ func (t *Thread) atomicRMWC(r Ref, op transport.AtomicOp, a1, a2 uint64, then fu
 	span.SetBytes(op.OperandBytes())
 	t.rt.tel.Add("xlupc_atomic_ops_total", `op="`+op.String()+`"`, 1)
 	o := t.ops()
-	o.aa, o.arn, o.aoff, o.aop, o.aarg1, o.aarg2 = a, rn, off, op, a1, a2
-	o.aspan, o.astart, o.athen = span, start, then
+	o.x = nbSub{kind: nbAtomicAM, a: a, rn: int32(rn), off: off, span: span, start: start, aop: op, a1: a1, a2: a2}
+	o.xnb, o.xathen = false, then
 
 	if t.ns.cache != nil {
-		o.at0 = t.Now()
-		t.c.Sleep(prof.CacheLookupCost, o.aLookupFn)
+		o.xt0 = t.Now()
+		o.xWait(prof.CacheLookupCost, xsLookup)
 		return
 	}
 	span.SetProto("am")
-	t.amAtomicC(a, rn, off, op, a1, a2, span, o.aFinishFn)
+	t.amAtomicC(a, rn, off, op, a1, a2, span, o.xAtomicFn)
 }
 
 // localAtomicDoC performs a home-node atomic against a resolved control
@@ -243,141 +177,39 @@ func (t *Thread) atomicRMWC(r Ref, op transport.AtomicOp, a1, a2 uint64, then fu
 func (t *Thread) localAtomicDoC(cb *svd.ControlBlock, off int64, op transport.AtomicOp, a1, a2 uint64, then func(old uint64)) {
 	prof := t.rt.cfg.Profile
 	o := t.ops()
-	o.zaddr, o.zop, o.za1, o.za2, o.zthen = cb.LocalBase+mem.Addr(off), op, a1, a2, then
-	t.c.Sleep(prof.ShmLatency+atomicCPUCost, o.zFn)
+	o.x = nbSub{off: off, aop: op, a1: a1, a2: a2}
+	o.xnb, o.xcb, o.xathen = false, cb, then
+	o.xWait(prof.ShmLatency+atomicCPUCost, xsLocalAtomic)
 }
 
-// amAtomicC is amAtomic in continuation-passing style.
+// amAtomicC is the active-message atomic: the handler combines on the
+// target CPU and replies with the previous value.
 func (t *Thread) amAtomicC(a *SharedArray, rn int, off int64, op transport.AtomicOp, a1, a2 uint64, span *telemetry.Span, then func(old uint64)) {
+	o := t.ops()
 	done := sim.NewCompletion(t.rt.K, "atomic")
+	o.rqmode, o.rqdone, o.rqatomic = rqAtomic, done, then
 	t.rt.M.SendAMSpanC(t.c, t.ns.id, rn, hAtomic,
 		&atomicReq{H: a.h, Off: off, Op: op, A: a1, B: a2, WantAddr: t.ns.cache != nil, Done: done},
-		nil, op.OperandBytes(), span, func() {
-			done.WaitC(t.c, func(v any) {
-				old := v.(uint64)
-				t.rt.K.Recycle(done)
-				then(old)
-			})
-		})
+		nil, op.OperandBytes(), span, o.rqSentFn)
 }
 
-// --- Split-phase atomics (mirror nbio.go) -------------------------------
+// --- Split-phase atomics ------------------------------------------------
 
 // NbFetchAdd starts a split-phase fetch-add on the 8-byte element at
 // r: the previous value is stored into *out when the handle retires
 // (Sync, a fence or a barrier). With coalescing enabled, batched
 // atomics to one destination share a single doorbell frame.
 func (t *Thread) NbFetchAdd(r Ref, delta uint64, out *uint64) Handle {
-	return t.nbAtomic(r, transport.AtomicFetchAdd, delta, 0, out)
+	t.nbAtomicC(r, transport.AtomicFetchAdd, delta, 0, out, t.ops().hResFn)
+	return t.handleResult()
 }
 
 // NbAccumulate starts a split-phase accumulate (add, no result) on the
 // 8-byte element at r — the one-message-per-update primitive of the
 // RandomAccess/GUPS pattern.
 func (t *Thread) NbAccumulate(r Ref, delta uint64) Handle {
-	return t.nbAtomic(r, transport.AtomicAccumulate, delta, 0, nil)
-}
-
-func (t *Thread) nbAtomic(r Ref, op transport.AtomicOp, a1, a2 uint64, out *uint64) Handle {
-	nb := t.newNbOp()
-	t.nbAtomicRun(nb, r, op, a1, a2, out)
-	if len(nb.subs) == 0 {
-		t.freeNbOp(nb)
-		return Handle{} // local: the combine already happened
-	}
-	t.nbOut = append(t.nbOut, nb)
-	return Handle{op: nb, gen: nb.gen}
-}
-
-// nbAtomicRun issues one split-phase atomic: local combines complete
-// at issue, remote ones go NIC-descriptor (cache hit) or coalesced AM
-// without waiting. NACK healing happens at retire, inside Sync, where
-// blocking is the semantics.
-func (t *Thread) nbAtomicRun(nb *nbOp, r Ref, aop transport.AtomicOp, a1, a2 uint64, out *uint64) {
-	checkAtomic(r)
-	a := r.A
-	prof := t.rt.cfg.Profile
-	rn := a.l.NodeOf(r.Idx)
-	off := a.l.ChunkOffset(r.Idx)
-	start := t.p.Now()
-
-	if rn == t.ns.id {
-		cb := t.localCB(a)
-		t.p.Sleep(prof.ShmLatency + atomicCPUCost)
-		t.localAtomics++
-		old := t.ns.rmw(cb.LocalBase+mem.Addr(off), aop, a1, a2)
-		if out != nil {
-			*out = old
-		}
-		return
-	}
-
-	span := t.rt.tel.StartSpan("atomic", t.id, t.ns.id, start)
-	span.SetBytes(aop.OperandBytes())
-	t.rt.tel.Add("xlupc_atomic_ops_total", `op="`+aop.String()+`"`, 1)
-	finish := func() {
-		span.Finish(t.p.Now())
-		t.atomics++
-		t.atomicTime += t.p.Now() - start
-	}
-
-	if t.ns.cache != nil {
-		t0 := t.p.Now()
-		t.p.Sleep(prof.CacheLookupCost)
-		span.Phase(telemetry.PhaseCacheLookup, t0, t.p.Now())
-		if base, ep, hit := t.ns.cache.LookupEpoch(cacheKey(a.h, rn)); hit {
-			span.SetProto("rdma")
-			// Split-phase fetches need a result buffer that outlives the
-			// issue; the thread's staging word would alias across
-			// outstanding handles.
-			var fetch []byte
-			if aop.ResultBytes() > 0 {
-				fetch = make([]byte, 8)
-			}
-			res := t.rt.M.RDMAAtomicStart(t.p, t.ns.id, rn,
-				base, base+mem.Addr(off), aop, a1, a2, fetch, ep, span)
-			nb.subs = append(nb.subs, nbSub{done: res, fin: func() {
-				val := res.Value()
-				data := res.Bytes()
-				t.rt.K.Recycle(res)
-				if nk, nack := val.(transport.Nack); nack {
-					// Redo over the AM path, synchronously — we are already
-					// inside Sync, so blocking here is the semantics.
-					if nk.Stale {
-						if !t.healStale(rn, nk.Epoch, "atomic", span) {
-							finish()
-							return
-						}
-						t.rt.tel.Add("xlupc_atomic_fallbacks_total", `reason="stale_epoch"`, 1)
-					} else {
-						t.ns.cache.Remove(cacheKey(a.h, rn))
-						t.rt.tel.Add("xlupc_atomic_fallbacks_total", `reason="nack"`, 1)
-					}
-					span.SetProto("am")
-					old := t.amAtomic(a, rn, off, aop, a1, a2, span)
-					if out != nil {
-						*out = old
-					}
-				} else if out != nil && data != nil {
-					*out = byteOrder.Uint64(data)
-				}
-				finish()
-			}})
-			return
-		}
-	}
-	span.SetProto("am")
-	done := sim.NewCompletion(t.rt.K, "atomic")
-	t.rt.M.SendAMCoalesced(t.p, t.ns.id, rn, hAtomic,
-		&atomicReq{H: a.h, Off: off, Op: aop, A: a1, B: a2, WantAddr: t.ns.cache != nil, Done: done},
-		nil, aop.OperandBytes(), span)
-	nb.subs = append(nb.subs, nbSub{done: done, fin: func() {
-		if out != nil {
-			*out = done.Value().(uint64)
-		}
-		t.rt.K.Recycle(done)
-		finish()
-	}})
+	t.nbAtomicC(r, transport.AtomicAccumulate, delta, 0, nil, t.ops().hResFn)
+	return t.handleResult()
 }
 
 // NbFetchAddC is Thread.NbFetchAdd in continuation-passing style.
@@ -390,134 +222,29 @@ func (t *Thread) NbAccumulateC(r Ref, delta uint64, then func(h Handle)) {
 	t.nbAtomicC(r, transport.AtomicAccumulate, delta, 0, nil, then)
 }
 
-func (t *Thread) nbAtomicC(r Ref, op transport.AtomicOp, a1, a2 uint64, out *uint64, then func(h Handle)) {
-	nb := t.newNbOp()
-	t.nbAtomicRunC(nb, r, op, a1, a2, out, func() {
-		if len(nb.subs) == 0 {
-			t.freeNbOp(nb)
-			then(Handle{})
-			return
-		}
-		t.nbOut = append(t.nbOut, nb)
-		then(Handle{op: nb, gen: nb.gen})
-	})
-}
-
-// nbAtomicRunC mirrors nbAtomicRun step for step; the NACK fallback at
-// retire carries the continuation (finC), like nbGetRunC.
-func (t *Thread) nbAtomicRunC(nb *nbOp, r Ref, aop transport.AtomicOp, a1, a2 uint64, out *uint64, then func()) {
+func (t *Thread) nbAtomicC(r Ref, aop transport.AtomicOp, a1, a2 uint64, out *uint64, then func(h Handle)) {
 	checkAtomic(r)
+	nb := t.newNbOp()
 	a := r.A
-	prof := t.rt.cfg.Profile
 	rn := a.l.NodeOf(r.Idx)
 	off := a.l.ChunkOffset(r.Idx)
 	start := t.Now()
-
 	if rn == t.ns.id {
-		resolved := func(cb *svd.ControlBlock) {
-			t.c.Sleep(prof.ShmLatency+atomicCPUCost, func() {
-				t.localAtomics++
-				old := t.ns.rmw(cb.LocalBase+mem.Addr(off), aop, a1, a2)
-				if out != nil {
-					*out = old
-				}
-				then()
-			})
-		}
+		// Home node: the combine completes at issue.
+		o := t.ops()
+		o.nop, o.nthen, o.nout = nb, then, out
 		if cb, ok := t.localCBFast(a); ok {
-			resolved(cb)
+			t.localAtomicDoC(cb, off, aop, a1, a2, o.nLocalAtomicFn)
 			return
 		}
-		t.localCBC(a, resolved)
+		t.localCBC(a, func(cb *svd.ControlBlock) { t.localAtomicDoC(cb, off, aop, a1, a2, o.nLocalAtomicFn) })
 		return
 	}
-
 	span := t.rt.tel.StartSpan("atomic", t.id, t.ns.id, start)
 	span.SetBytes(aop.OperandBytes())
 	t.rt.tel.Add("xlupc_atomic_ops_total", `op="`+aop.String()+`"`, 1)
-	finish := func(fin func()) {
-		span.Finish(t.Now())
-		t.atomics++
-		t.atomicTime += t.Now() - start
-		fin()
-	}
-
-	issueAM := func() {
-		span.SetProto("am")
-		done := sim.NewCompletion(t.rt.K, "atomic")
-		t.rt.M.SendAMCoalescedC(t.c, t.ns.id, rn, hAtomic,
-			&atomicReq{H: a.h, Off: off, Op: aop, A: a1, B: a2, WantAddr: t.ns.cache != nil, Done: done},
-			nil, aop.OperandBytes(), span, func() {
-				nb.subs = append(nb.subs, nbSub{done: done, finC: func(fin func()) {
-					if out != nil {
-						*out = done.Value().(uint64)
-					}
-					t.rt.K.Recycle(done)
-					finish(fin)
-				}})
-				then()
-			})
-	}
-
-	if t.ns.cache != nil {
-		t0 := t.Now()
-		t.c.Sleep(prof.CacheLookupCost, func() {
-			span.Phase(telemetry.PhaseCacheLookup, t0, t.Now())
-			if base, ep, hit := t.ns.cache.LookupEpoch(cacheKey(a.h, rn)); hit {
-				span.SetProto("rdma")
-				var fetch []byte
-				if aop.ResultBytes() > 0 {
-					fetch = make([]byte, 8)
-				}
-				t.rt.M.RDMAAtomicStartC(t.c, t.ns.id, rn,
-					base, base+mem.Addr(off), aop, a1, a2, fetch, ep, span,
-					func(res *sim.Completion) {
-						nb.subs = append(nb.subs, nbSub{done: res, finC: func(fin func()) {
-							val := res.Value()
-							data := res.Bytes()
-							t.rt.K.Recycle(res)
-							if nk, nack := val.(transport.Nack); nack {
-								// Redo over the AM path — the retire itself
-								// carries the continuation.
-								retry := func() {
-									span.SetProto("am")
-									t.amAtomicC(a, rn, off, aop, a1, a2, span, func(old uint64) {
-										if out != nil {
-											*out = old
-										}
-										finish(fin)
-									})
-								}
-								if nk.Stale {
-									t.healStaleC(rn, nk.Epoch, "atomic", span, func(cont bool) {
-										if !cont {
-											finish(fin)
-											return
-										}
-										t.rt.tel.Add("xlupc_atomic_fallbacks_total", `reason="stale_epoch"`, 1)
-										retry()
-									})
-									return
-								}
-								t.ns.cache.Remove(cacheKey(a.h, rn))
-								t.rt.tel.Add("xlupc_atomic_fallbacks_total", `reason="nack"`, 1)
-								retry()
-								return
-							}
-							if out != nil && data != nil {
-								*out = byteOrder.Uint64(data)
-							}
-							finish(fin)
-						}})
-						then()
-					})
-				return
-			}
-			issueAM()
-		})
-		return
-	}
-	issueAM()
+	t.nbIssue(nb, nbSub{kind: nbAtomicAM, a: a, rn: int32(rn), off: off, span: span, start: start,
+		aop: aop, a1: a1, a2: a2, out: out}, t.nbSingle(nb, then))
 }
 
 // --- Target-side handlers ----------------------------------------------

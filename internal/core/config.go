@@ -67,14 +67,14 @@ func NoCache() CacheConfig { return CacheConfig{} }
 type ExecMode int
 
 const (
-	// ExecGoroutine (the default) backs every thread with a goroutine
-	// parked/resumed through the kernel's channel handoff. It supports
-	// arbitrary Go control flow in bodies (Runtime.Run) and is the
-	// reference semantics.
+	// ExecGoroutine (the default) runs every thread body as a
+	// coroutine (sim.Proc) that the continuation implementation
+	// suspends and resumes. It supports arbitrary Go control flow in
+	// bodies (Runtime.Run).
 	ExecGoroutine ExecMode = iota
 	// ExecCont runs thread bodies as continuation state-machines
 	// scheduled directly on the event heap (Runtime.RunCont): no
-	// goroutine, no channels, no per-thread stack — the mode that makes
+	// coroutine and no per-thread stack — the mode that makes
 	// 100k-thread sweeps feasible. Bodies must be written in
 	// continuation-passing style against the Thread's ...C methods.
 	// Both modes produce bit-identical RunStats for the same workload.

@@ -8,7 +8,6 @@ import (
 	"xlupc/internal/sim"
 	"xlupc/internal/svd"
 	"xlupc/internal/telemetry"
-	"xlupc/internal/trace"
 	"xlupc/internal/transport"
 )
 
@@ -300,202 +299,6 @@ func (rt *Runtime) handleRTR(p *sim.Proc, n *transport.Node, msg *transport.Msg)
 		msg.Span.Phase(telemetry.PhaseCacheInsert, t0, p.Now())
 	}
 	m.Done.Complete(rtrResult{base: m.Base, epoch: m.Epoch, ok: m.OK})
-}
-
-// --- Initiator-side operations ------------------------------------------
-
-// getRun reads len(dst) bytes at element idx, which the caller
-// guarantees is a single-affinity contiguous run.
-func (t *Thread) getRun(a *SharedArray, idx int64, dst []byte) {
-	prof := t.rt.cfg.Profile
-	size := len(dst)
-	rn := a.l.NodeOf(idx)
-	start := t.p.Now()
-
-	if rn == t.ns.id {
-		// Intra-node: shared memory, no network.
-		cb := t.localCB(a)
-		span := t.rt.tel.StartSpan("get", t.id, t.ns.id, start)
-		span.SetProto("local")
-		span.SetBytes(size)
-		t.p.Sleep(prof.ShmLatency + sim.BytesTime(size, prof.ShmByteTime))
-		t.ns.tn.Mem.Read(dst, cb.LocalBase+mem.Addr(a.l.ChunkOffset(idx)))
-		span.Finish(t.p.Now())
-		t.localGets++
-		return
-	}
-
-	off := a.l.ChunkOffset(idx)
-	span := t.rt.tel.StartSpan("get", t.id, t.ns.id, start)
-	span.SetBytes(size)
-	t.rt.cfg.Trace.Begin(t.id, trace.StateGetWait, start)
-	defer func() {
-		t.rt.cfg.Trace.End(t.id, t.p.Now())
-		span.Finish(t.p.Now())
-		t.gets++
-		t.getTime += t.p.Now() - start
-	}()
-
-	if t.ns.cache != nil {
-		t0 := t.p.Now()
-		t.p.Sleep(prof.CacheLookupCost)
-		span.Phase(telemetry.PhaseCacheLookup, t0, t.p.Now())
-		if base, ep, hit := t.ns.cache.LookupEpoch(cacheKey(a.h, rn)); hit {
-			// RDMA fast path: final remote address computed locally.
-			span.SetProto("rdma")
-			data, nack, ok := t.rt.M.RDMAGetSpan(t.p, t.ns.id, rn, base, base+mem.Addr(off), dst, size, ep, span)
-			if ok {
-				copy(dst, data)
-				return
-			}
-			if nack.Stale {
-				// The target restarted under a new incarnation: flush
-				// every cached address for it, then fall through to the
-				// AM path, whose reply re-piggybacks the fresh base.
-				if !t.healStale(rn, nack.Epoch, "get", span) {
-					return
-				}
-				t.rt.tel.Add("xlupc_get_fallbacks_total", `reason="stale_epoch"`, 1)
-			} else {
-				// The target deregistered the region (limited pinning):
-				// drop the stale entry and fall through to the slow path,
-				// which will repin and repopulate.
-				t.ns.cache.Remove(cacheKey(a.h, rn))
-				t.rt.tel.Add("xlupc_get_fallbacks_total", `reason="nack"`, 1)
-			}
-		}
-	}
-	if size <= prof.EagerMax || !prof.SupportsRDMA {
-		// Eager always; transports without one-sided hardware stream
-		// large transfers through the copy path too.
-		span.SetProto("eager")
-		t.eagerGet(a, rn, off, dst, span)
-		return
-	}
-	// Rendezvous: fetch the remote base address, then zero-copy RDMA.
-	span.SetProto("rendezvous")
-	res := t.rendezvous(a, rn, size, span)
-	if !res.ok {
-		span.SetProto("eager")
-		t.rt.tel.Add("xlupc_get_fallbacks_total", `reason="pin_refused"`, 1)
-		t.eagerGet(a, rn, off, dst, span) // registration refused: copy path
-		return
-	}
-	data, nack, ok := t.rt.M.RDMAGetSpan(t.p, t.ns.id, rn, res.base, res.base+mem.Addr(off), dst, size, res.epoch, span)
-	if !ok {
-		if nack.Stale { // the target restarted between the RTR and the transfer
-			if !t.healStale(rn, nack.Epoch, "get", span) {
-				return
-			}
-			t.rt.tel.Add("xlupc_get_fallbacks_total", `reason="stale_epoch"`, 1)
-		} else { // evicted between the RTR and the transfer
-			if t.ns.cache != nil {
-				t.ns.cache.Remove(cacheKey(a.h, rn))
-			}
-			t.rt.tel.Add("xlupc_get_fallbacks_total", `reason="nack"`, 1)
-		}
-		span.SetProto("eager")
-		t.eagerGet(a, rn, off, dst, span)
-		return
-	}
-	copy(dst, data)
-}
-
-func (t *Thread) eagerGet(a *SharedArray, rn int, off int64, dst []byte, span *telemetry.Span) {
-	done := sim.NewCompletion(t.rt.K, "get")
-	t.rt.M.SendAMSpan(t.p, t.ns.id, rn, hGetReq,
-		&getReq{H: a.h, Off: off, Size: len(dst), WantAddr: t.ns.cache != nil, Done: done}, nil, 0, span)
-	t.p.Wait(done)
-	copy(dst, done.Bytes())
-	t.rt.K.Recycle(done) // handler's only reference died with the reply
-}
-
-func (t *Thread) rendezvous(a *SharedArray, rn int, size int, span *telemetry.Span) rtrResult {
-	done := sim.NewCompletion(t.rt.K, "rts")
-	t.rt.M.SendAMSpan(t.p, t.ns.id, rn, hRTS, &rts{H: a.h, Size: size, Done: done}, nil, 0, span)
-	t.p.Wait(done)
-	res := done.Value().(rtrResult)
-	t.rt.K.Recycle(done)
-	return res
-}
-
-// putRun writes src at element idx (a single-affinity contiguous run).
-// Remote PUTs are asynchronous: they complete under the thread's fence.
-func (t *Thread) putRun(a *SharedArray, idx int64, src []byte) {
-	prof := t.rt.cfg.Profile
-	size := len(src)
-	rn := a.l.NodeOf(idx)
-	start := t.p.Now()
-
-	if rn == t.ns.id {
-		cb := t.localCB(a)
-		span := t.rt.tel.StartSpan("put", t.id, t.ns.id, start)
-		span.SetProto("local")
-		span.SetBytes(size)
-		t.p.Sleep(prof.ShmLatency + sim.BytesTime(size, prof.ShmByteTime))
-		t.ns.tn.Mem.Write(cb.LocalBase+mem.Addr(a.l.ChunkOffset(idx)), src)
-		span.Finish(t.p.Now())
-		t.localPuts++
-		return
-	}
-
-	off := a.l.ChunkOffset(idx)
-	// The PUT span ends at initiator-local completion — the time the
-	// thread is actually blocked; the in-flight ACK's target-side
-	// phases keep accumulating and still count in attribution.
-	span := t.rt.tel.StartSpan("put", t.id, t.ns.id, start)
-	span.SetBytes(size)
-	t.rt.cfg.Trace.Begin(t.id, trace.StatePut, start)
-	defer func() {
-		t.rt.cfg.Trace.End(t.id, t.p.Now())
-		span.Finish(t.p.Now())
-		t.puts++
-		t.putTime += t.p.Now() - start
-	}()
-
-	if t.ns.cache != nil && t.rt.putCache {
-		t0 := t.p.Now()
-		t.p.Sleep(prof.CacheLookupCost)
-		span.Phase(telemetry.PhaseCacheLookup, t0, t.p.Now())
-		if base, ep, hit := t.ns.cache.LookupEpoch(cacheKey(a.h, rn)); hit {
-			span.SetProto("rdma")
-			data := append([]byte(nil), src...)
-			remote := t.rt.M.RDMAPutSpan(t.p, t.ns.id, rn, base, base+mem.Addr(off), data, ep, span)
-			t.fence.Add(1)
-			t.watchPut(remote, a, rn, off, data, span, nil)
-			return
-		}
-	}
-	if size <= prof.EagerMax || !prof.SupportsRDMA {
-		// Copy into a pre-registered bounce buffer, then fire and forget.
-		span.SetProto("eager")
-		t0 := t.p.Now()
-		t.p.Sleep(sim.BytesTime(size, prof.CopyByteTime))
-		span.Phase(telemetry.PhaseCopy, t0, t.p.Now())
-		data := append([]byte(nil), src...)
-		t.fence.Add(1)
-		t.rt.M.SendAMSpan(t.p, t.ns.id, rn, hPutReq,
-			&putReq{H: a.h, Off: off, WantAddr: t.ns.cache != nil, Fence: t.fence}, data, 0, span)
-		return
-	}
-	span.SetProto("rendezvous")
-	res := t.rendezvous(a, rn, size, span)
-	if !res.ok {
-		span.SetProto("eager")
-		t.rt.tel.Add("xlupc_put_fallbacks_total", `reason="pin_refused"`, 1)
-		t0 := t.p.Now()
-		t.p.Sleep(sim.BytesTime(size, prof.CopyByteTime))
-		span.Phase(telemetry.PhaseCopy, t0, t.p.Now())
-		data := append([]byte(nil), src...)
-		t.fence.Add(1)
-		t.rt.M.SendAMSpan(t.p, t.ns.id, rn, hPutReq,
-			&putReq{H: a.h, Off: off, WantAddr: false, Fence: t.fence}, data, 0, span)
-		return
-	}
-	data := append([]byte(nil), src...)
-	remote := t.rt.M.RDMAPutSpan(t.p, t.ns.id, rn, res.base, res.base+mem.Addr(off), data, res.epoch, span)
-	t.fence.Add(1)
-	t.watchPut(remote, a, rn, off, data, span, nil)
 }
 
 // watchPut completes an asynchronous RDMA PUT under the thread's

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"xlupc/internal/sim"
@@ -228,5 +229,201 @@ func TestCoalesceStatsAndDeterminism(t *testing.T) {
 	}
 	if !(tOn < tOff) {
 		t.Fatalf("coalesced split-phase not faster than blocking: on=%v off=%v", tOn, tOff)
+	}
+}
+
+// coalGUPS is a split-phase accumulate stream with coalescing on: every
+// thread adds 1 to words owned by seeded partners on several nodes,
+// syncing every batch, so threads of one node flush buffers toward
+// different destinations at the same virtual instants. It returns the
+// run's stats and the table's final sum (threads*updates when no
+// update was lost).
+func coalGUPS(t *testing.T, exec ExecMode) (RunStats, uint64) {
+	t.Helper()
+	const threads, nodes, words, updates, batch = 8, 4, 16, 48, 8
+	c := coalCfg(threads, nodes, transport.GM(), DefaultCache())
+	c.Exec = exec
+	rt, err := NewRuntime(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := func(tid, k int) int64 {
+		h := uint64(tid)*0x9E3779B97F4A7C15 ^ uint64(k)*0xBF58476D1CE4E5B9
+		h ^= h >> 29
+		p := (tid + 2 + int(h%uint64(threads-2))) % threads // never tid or its node-mate
+		if p/(threads/nodes) == tid/(threads/nodes) {
+			p = (p + threads/nodes) % threads
+		}
+		return int64(p)*words + int64(h>>8)%words
+	}
+	var sum uint64
+	var a *SharedArray
+	var st RunStats
+	if exec == ExecCont {
+		st, err = rt.RunCont(func(th *Thread, done func()) {
+			th.AllAllocC("gups", threads*words, 8, words, func(arr *SharedArray) {
+				a = arr
+				k := 0
+				sim.Loop(func(next func()) {
+					if k < updates {
+						r := a.At(target(th.ID(), k))
+						k++
+						th.NbAccumulateC(r, 1, func(Handle) {
+							if k%batch == 0 {
+								th.SyncAllC(next)
+								return
+							}
+							next()
+						})
+						return
+					}
+					th.SyncAllC(func() {
+						th.BarrierC(func() {
+							if th.ID() != 0 {
+								th.BarrierC(done)
+								return
+							}
+							i := int64(0)
+							sim.Loop(func(step func()) {
+								if i == threads*words {
+									th.BarrierC(done)
+									return
+								}
+								th.GetUint64C(a.At(i), func(v uint64) {
+									sum += v
+									i++
+									step()
+								})
+							})
+						})
+					})
+				})
+			})
+		})
+	} else {
+		st, err = rt.Run(func(th *Thread) {
+			a = th.AllAlloc("gups", threads*words, 8, words)
+			for k := 0; k < updates; k++ {
+				th.NbAccumulate(a.At(target(th.ID(), k)), 1)
+				if (k+1)%batch == 0 {
+					th.SyncAll()
+				}
+			}
+			th.SyncAll()
+			th.Barrier()
+			if th.ID() == 0 {
+				for i := int64(0); i < threads*words; i++ {
+					sum += th.GetUint64(a.At(i))
+				}
+			}
+			th.Barrier()
+		})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st, sum
+}
+
+// TestCoalescedSyncAcrossDestinations is the regression test for the
+// coalescer defect where a sync flush collected a node's open
+// buffers, suspended on the first flush, and then dereferenced a buffer
+// another thread of the same node had flushed (and removed) meanwhile.
+// Two threads of node 0 each buffer GETs toward nodes 1 and 2 and sync
+// at the same instant; then a GUPS-style stream with partners on
+// several nodes per source node. Both execution modes must complete
+// with the same results.
+func TestCoalescedSyncAcrossDestinations(t *testing.T) {
+	const threads, nodes, elems = 6, 3, 3 * 8
+	twoSyncs := func(exec ExecMode) (RunStats, [2][2]uint64) {
+		c := coalCfg(threads, nodes, transport.GM(), NoCache())
+		c.Exec = exec
+		rt, err := NewRuntime(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got [2][2]uint64
+		var a *SharedArray
+		var bufs [2][2][8]byte
+		var st RunStats
+		// Threads 0 and 1 share node 0; elements 8 and 16 live on nodes
+		// 1 and 2 (block 4, two threads per node).
+		refs := func() [2]Ref { return [2]Ref{a.At(8), a.At(16)} }
+		if exec == ExecCont {
+			st, err = rt.RunCont(func(th *Thread, done func()) {
+				th.AllAllocC("v", elems, 8, 4, func(arr *SharedArray) {
+					a = arr
+					init := func(next func()) {
+						if th.ID() != 2 && th.ID() != 4 {
+							next()
+							return
+						}
+						th.PutUint64C(a.At(int64(th.ID())*4), uint64(100+th.ID()), func() { th.FenceC(next) })
+					}
+					init(func() {
+						th.BarrierC(func() {
+							if th.ID() > 1 {
+								th.BarrierC(done)
+								return
+							}
+							r := refs()
+							id := th.ID()
+							th.NbGetC(bufs[id][0][:], r[id], func(Handle) {
+								th.NbGetC(bufs[id][1][:], r[1-id], func(Handle) {
+									th.SyncAllC(func() {
+										got[id][0] = byteOrder.Uint64(bufs[id][0][:])
+										got[id][1] = byteOrder.Uint64(bufs[id][1][:])
+										th.BarrierC(done)
+									})
+								})
+							})
+						})
+					})
+				})
+			})
+		} else {
+			st, err = rt.Run(func(th *Thread) {
+				a = th.AllAlloc("v", elems, 8, 4)
+				if th.ID() == 2 || th.ID() == 4 {
+					th.PutUint64(a.At(int64(th.ID())*4), uint64(100+th.ID()))
+					th.Fence()
+				}
+				th.Barrier()
+				if id := th.ID(); id <= 1 {
+					r := refs()
+					th.NbGet(bufs[id][0][:], r[id])
+					th.NbGet(bufs[id][1][:], r[1-id])
+					th.SyncAll()
+					got[id][0] = byteOrder.Uint64(bufs[id][0][:])
+					got[id][1] = byteOrder.Uint64(bufs[id][1][:])
+				}
+				th.Barrier()
+			})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, got
+	}
+	want := [2][2]uint64{{102, 104}, {104, 102}}
+	stG, gotG := twoSyncs(ExecGoroutine)
+	stC, gotC := twoSyncs(ExecCont)
+	if gotG != want || gotC != want {
+		t.Fatalf("read back goroutine %v, cont %v, want %v", gotG, gotC, want)
+	}
+	if !reflect.DeepEqual(stG, stC) {
+		t.Errorf("two-sync RunStats diverged between modes:\n goroutine: %+v\n cont:      %+v", stG, stC)
+	}
+
+	gG, sumG := coalGUPS(t, ExecGoroutine)
+	gC, sumC := coalGUPS(t, ExecCont)
+	if sumG != 8*48 || sumC != 8*48 {
+		t.Fatalf("GUPS table sums goroutine %d, cont %d, want %d", sumG, sumC, 8*48)
+	}
+	if gG.CoalFrames == 0 {
+		t.Fatal("GUPS run coalesced nothing")
+	}
+	if !reflect.DeepEqual(gG, gC) {
+		t.Errorf("GUPS RunStats diverged between modes:\n goroutine: %+v\n cont:      %+v", gG, gC)
 	}
 }

@@ -182,14 +182,14 @@ func (rt *Runtime) Run(body func(t *Thread)) (RunStats, error) {
 	// Whatever way the run ends — clean completion, Stop, an event
 	// limit, a deadlock error, or a panic unwinding through Run — the
 	// dispatcher daemons (and, on error paths, stranded program threads)
-	// are still parked on their goroutines. Release them so repeated
+	// are still suspended in their coroutines. Release them so repeated
 	// simulations (sweeps, benchmarks) do not accumulate goroutines.
 	defer rt.K.Shutdown()
 	rt.liveBodies = len(rt.threads)
 	for _, th := range rt.threads {
 		th := th
 		rt.K.SpawnIdx("upc", th.id, func(p *sim.Proc) {
-			th.p = p
+			th.p, th.c, th.wake = p, p.Cont(), p.WakeFn()
 			body(th)
 			th.Fence() // drain outstanding PUTs before exiting
 			rt.bodyDone()

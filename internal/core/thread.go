@@ -6,8 +6,6 @@ import (
 	"math/rand"
 
 	"xlupc/internal/sim"
-	"xlupc/internal/svd"
-	"xlupc/internal/trace"
 )
 
 // Thread is one UPC thread. Bodies passed to Runtime.Run receive their
@@ -20,7 +18,12 @@ type Thread struct {
 	id int
 	ns *nodeState
 	p  *sim.Proc // goroutine mode (Runtime.Run); nil under ExecCont
-	c  *sim.Cont // continuation mode (Runtime.RunCont); nil under ExecGoroutine
+	c  *sim.Cont // the handle every …C operation takes, in both modes
+
+	// wake is p's pre-bound wake callback (goroutine mode): a blocking
+	// method passes it as the continuation of its …C form, then
+	// suspends p until it runs.
+	wake func()
 
 	fence *sim.Counter
 	rng   *rand.Rand
@@ -43,9 +46,8 @@ type Thread struct {
 	// in bounded chunks, instead of allocating n*elemSize up front.
 	xfer []byte
 
-	// cops is the continuation-mode pre-bound op state machine (see
-	// contops.go); nil until the thread's first shared access under
-	// ExecCont, and always nil in goroutine mode.
+	// cops is the pre-bound op state machine (see contops.go); nil
+	// until the thread's first shared access.
 	cops *contOps
 
 	// Counters for RunStats.
@@ -100,12 +102,8 @@ func (t *Thread) Rand() *rand.Rand {
 // node's cores for d. On transports with no communication overlap this
 // is exactly the time the node cannot serve remote requests.
 func (t *Thread) Compute(d sim.Duration) {
-	if d <= 0 {
-		return
-	}
-	t.rt.cfg.Trace.Begin(t.id, trace.StateCompute, t.p.Now())
-	t.ns.tn.CPU.Use(t.p, d)
-	t.rt.cfg.Trace.End(t.id, t.p.Now())
+	t.ComputeC(d, t.wake)
+	t.p.Suspend()
 }
 
 // Sleep advances the thread without occupying a core (idle wait).
@@ -116,30 +114,8 @@ func (t *Thread) Sleep(d sim.Duration) { t.p.Sleep(d) }
 // first, so a fence is a full consistency point for non-blocking
 // traffic too.
 func (t *Thread) Fence() {
-	t.SyncAll()
-	if t.fence.Pending() == 0 {
-		return
-	}
-	span := t.rt.tel.StartSpan("fence", t.id, t.ns.id, t.p.Now())
-	t.rt.cfg.Trace.Begin(t.id, trace.StateFenceWait, t.p.Now())
-	t.fence.Wait(t.p)
-	t.rt.cfg.Trace.End(t.id, t.p.Now())
-	span.Finish(t.p.Now())
-}
-
-// localCB resolves the thread's own node's control block for an array,
-// waiting briefly if the allocation notification is still in flight.
-func (t *Thread) localCB(a *SharedArray) *svd.ControlBlock {
-	for {
-		cb, ok := t.ns.dir.LookupAny(a.h)
-		if ok {
-			if cb.Freed {
-				panic(fmt.Sprintf("core: thread %d: access to freed array %s", t.id, a.name))
-			}
-			return cb
-		}
-		t.p.Sleep(1 * sim.Us)
-	}
+	t.FenceC(t.wake)
+	t.p.Suspend()
 }
 
 // ForAll runs body once for every index of a that is affine to this
@@ -267,51 +243,15 @@ func (t *Thread) Fill(r Ref, n int64, b byte) {
 // (upc_memget). len(dst) must be a multiple of the element size. The
 // transfer is split into per-affinity contiguous runs.
 func (t *Thread) GetBulk(dst []byte, r Ref) {
-	es := int64(r.A.l.ElemSize)
-	if int64(len(dst))%es != 0 {
-		panic("core: GetBulk length not a multiple of element size")
-	}
-	n := int64(len(dst)) / es
-	if n == 0 {
-		return
-	}
-	r.A.check(r.Idx + n - 1)
-	idx, off := r.Idx, int64(0)
-	for n > 0 {
-		run := r.A.l.ContigRun(idx)
-		if run > n {
-			run = n
-		}
-		t.getRun(r.A, idx, dst[off*es:(off+run)*es])
-		idx += run
-		off += run
-		n -= run
-	}
+	t.GetBulkC(dst, r, t.wake)
+	t.p.Suspend()
 }
 
 // PutBulk writes len(src) bytes of consecutive elements starting at r
 // (upc_memput). len(src) must be a multiple of the element size.
 func (t *Thread) PutBulk(r Ref, src []byte) {
-	es := int64(r.A.l.ElemSize)
-	if int64(len(src))%es != 0 {
-		panic("core: PutBulk length not a multiple of element size")
-	}
-	n := int64(len(src)) / es
-	if n == 0 {
-		return
-	}
-	r.A.check(r.Idx + n - 1)
-	idx, off := r.Idx, int64(0)
-	for n > 0 {
-		run := r.A.l.ContigRun(idx)
-		if run > n {
-			run = n
-		}
-		t.putRun(r.A, idx, src[off*es:(off+run)*es])
-		idx += run
-		off += run
-		n -= run
-	}
+	t.PutBulkC(r, src, t.wake)
+	t.p.Suspend()
 }
 
 // Copy moves n elements from src to dst (upc_memcpy), staging through

@@ -215,16 +215,9 @@ func (rt *Runtime) handleUserRep(p *sim.Proc, n *transport.Node, msg *transport.
 // returning the payload length. extra models the wire bytes of the
 // operation's arguments beyond the fixed envelope. op labels the span.
 func (t *Thread) CallAM(a *SharedArray, rn int, id UserHandlerID, argA, argB uint64, extra int, reply []byte, op string) int {
-	span := t.rt.tel.StartSpan(op, t.id, t.ns.id, t.p.Now())
-	span.SetProto("am")
-	done := sim.NewCompletion(t.rt.K, op)
-	t.rt.M.SendAMSpan(t.p, t.ns.id, rn, hUserReq,
-		&userReq{ID: id, H: a.h, A: argA, B: argB, WantAddr: t.ns.cache != nil, Done: done}, nil, extra, span)
-	t.p.Wait(done)
-	n := copy(reply, done.Bytes())
-	t.rt.K.Recycle(done) // handler's only reference died with the reply
-	span.Finish(t.p.Now())
-	return n
+	t.CallAMC(a, rn, id, argA, argB, extra, reply, op, t.ops().nResFn)
+	t.p.Suspend()
+	return t.cops.resN
 }
 
 // CallAMC is CallAM in continuation-passing style; the in-flight
@@ -234,9 +227,9 @@ func (t *Thread) CallAMC(a *SharedArray, rn int, id UserHandlerID, argA, argB ui
 	span.SetProto("am")
 	o := t.ops()
 	done := sim.NewCompletion(t.rt.K, op)
-	o.udst, o.udone, o.uspan, o.uthen = reply, done, span, then
+	o.rqmode, o.rqbuf, o.rqdone, o.rqspan, o.rquser = rqUser, reply, done, span, then
 	t.rt.M.SendAMSpanC(t.c, t.ns.id, rn, hUserReq,
-		&userReq{ID: id, H: a.h, A: argA, B: argB, WantAddr: t.ns.cache != nil, Done: done}, nil, extra, span, o.uSendFn)
+		&userReq{ID: id, H: a.h, A: argA, B: argB, WantAddr: t.ns.cache != nil, Done: done}, nil, extra, span, o.rqSentFn)
 }
 
 // NodeLocal returns this thread's node-scoped singleton under key,

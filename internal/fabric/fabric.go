@@ -201,26 +201,20 @@ func (f *Fabric) dropDown(dst int) bool {
 // Sending to the local node is a protocol bug — co-located threads
 // communicate through shared memory, never the NIC — and panics.
 func (f *Fabric) Inject(p *sim.Proc, src, dst int, size int, class Class, m any) sim.Time {
-	if src == dst {
-		panic(fmt.Sprintf("fabric: node %d sending to itself", src))
-	}
-	f.messages++
-	f.bytes += int64(size)
-	seq := uint64(f.messages) // injection ordinal, fixed before the sleep
-	if f.fr != nil {
-		f.fr.Record(src, flight.Event{
-			T: f.k.Now(), Kind: flight.KindSend, Class: fclass(class),
-			Src: int32(src), Dst: int32(dst), Seq: seq, Arg: int64(size),
-		})
-	}
-	p.Sleep(f.wire.Serialize(size))
-	return f.deliver(seq, src, dst, size, class, m)
+	var arrive sim.Time
+	wake := p.WakeFn()
+	f.InjectC(src, dst, size, class, m, func(at sim.Time) {
+		arrive = at
+		wake()
+	})
+	p.Suspend()
+	return arrive
 }
 
-// InjectC is Inject for kernel-callback senders (the DMA engine's
-// handoff-free path): serialization is modelled by scheduling done
-// after the serialize time instead of sleeping a process. The caller
-// must hold src's TX through done, which receives the arrival time.
+// InjectC is Inject in continuation-passing style, for kernel
+// callbacks and continuation-mode senders: serialization is modelled
+// by scheduling done after the serialize time. The caller must hold
+// src's TX through done, which receives the arrival time.
 func (f *Fabric) InjectC(src, dst int, size int, class Class, m any, done func(arrive sim.Time)) {
 	if src == dst {
 		panic(fmt.Sprintf("fabric: node %d sending to itself", src))

@@ -15,13 +15,8 @@ type Completion struct {
 	at      Time
 	val     any
 	bytes   []byte // typed payload lane (CompleteBytes); unboxed []byte
-	waiters []waiter
+	waiters []func()
 	thens   []func(v any)
-
-	ws    string // memoized park diagnostic ("waiting on <name>")
-	wsFor string // name ws was built for; survives Recycle, so pooled
-	// completions cycling through the same constant names never
-	// rebuild the string
 }
 
 // NewCompletion returns an incomplete Completion. The name appears in
@@ -40,18 +35,6 @@ func NewCompletion(k *Kernel, name string) *Completion {
 		return c
 	}
 	return &Completion{k: k, name: name}
-}
-
-// parkState renders the wait diagnostic lazily: nothing allocates until
-// something actually blocks on the completion, and the result is
-// memoized per name so pooled completions reused under the same
-// constant name pay a pointer-equal string compare, not a concat.
-func (c *Completion) parkState() string {
-	if c.wsFor != c.name {
-		c.ws = "waiting on " + c.name
-		c.wsFor = c.name
-	}
-	return c.ws
 }
 
 // Recycle returns a spent completion to the kernel's pool for reuse by
@@ -116,20 +99,19 @@ func (c *Completion) Complete(v any) {
 }
 
 // WaitC blocks a continuation-mode thread until the completion
-// completes, then runs fn with the completed value. The continuation
-// twin of Proc.Wait, with the same event cost: an already-done
+// completes, then runs fn with the completed value: an already-done
 // completion continues inline (zero events), otherwise the wake is one
-// scheduled event, exactly like resuming a parked process.
+// scheduled event.
 func (c *Completion) WaitC(ct *Cont, fn func(v any)) {
 	if c.done {
 		fn(c.val)
 		return
 	}
-	ct.block(c.parkState())
-	c.waiters = append(c.waiters, waiter{fn: func() {
+	ct.block("waiting on ", c.name)
+	c.waiters = append(c.waiters, func() {
 		ct.unblock()
 		fn(c.val)
-	}})
+	})
 }
 
 // WaitFn is the zero-alloc form of WaitC for pre-bound callbacks: fn
@@ -145,8 +127,8 @@ func (c *Completion) WaitFn(ct *Cont, fn func()) {
 		fn()
 		return
 	}
-	ct.block(c.parkState())
-	c.waiters = append(c.waiters, waiter{fn: fn})
+	ct.block("waiting on ", c.name)
+	c.waiters = append(c.waiters, fn)
 }
 
 // Then registers fn to run once the completion completes. fn executes
@@ -155,10 +137,10 @@ func (c *Completion) WaitFn(ct *Cont, fn func()) {
 // (no Sleep/Wait/Acquire), but may schedule events, complete other
 // completions, and push to queues.
 //
-// Then is NOT the way a continuation-mode thread waits — Then runs
-// inline at Complete time while a waiter (Wait/WaitC) runs one
-// scheduled event later; mixing them up reorders the event stream
-// between execution modes. Use WaitC to block a Cont.
+// Then is NOT the way a thread waits — Then runs inline at Complete
+// time while a waiter (Wait/WaitC/WaitFn) runs one scheduled event
+// later; mixing them up reorders the event stream. Use WaitC to block a
+// Cont.
 func (c *Completion) Then(fn func(v any)) {
 	if c.done {
 		fn(c.val)
@@ -182,7 +164,7 @@ type Counter struct {
 	nameIdx    int    // -1: namePrefix is the full name
 	ws         string // memoized park diagnostic, built on first wait
 	pending    int
-	waiters    []waiter
+	waiters    []func()
 }
 
 // NewCounter returns a counter expecting n arrivals. n may be zero, in
@@ -236,24 +218,40 @@ func (c *Counter) Arrive() {
 // Wait blocks p until the counter reaches zero.
 func (c *Counter) Wait(p *Proc) {
 	for c.pending > 0 {
-		c.waiters = append(c.waiters, waiter{p: p})
-		p.park(c.parkState())
+		c.WaitFn(&p.c, p.wakeFn)
+		p.Suspend()
 	}
 }
 
 // WaitC blocks a continuation-mode thread until the counter reaches
-// zero, then runs fn — the continuation twin of Wait, including the
-// recheck: if new arrivals were registered between the wake being
-// scheduled and running, the continuation re-registers (at no extra
-// event cost), exactly like the blocking loop re-parking.
+// zero, then runs fn. If new arrivals were registered between the wake
+// being scheduled and running, the continuation re-registers (at no
+// extra event cost), exactly like Wait's loop.
 func (c *Counter) WaitC(ct *Cont, fn func()) {
 	if c.pending == 0 {
 		fn()
 		return
 	}
-	ct.block(c.parkState())
-	c.waiters = append(c.waiters, waiter{fn: func() {
+	c.await(ct, func() {
 		ct.unblock()
 		c.WaitC(ct, fn)
-	}})
+	})
+}
+
+// WaitFn is the zero-alloc form of WaitC for a pre-bound fn: fn runs
+// inline when the count is already zero, otherwise it is stored as the
+// waiter itself, and re-checking Pending after the wake (as WaitC does)
+// is left to fn. The event cost is WaitC's.
+func (c *Counter) WaitFn(ct *Cont, fn func()) {
+	if c.pending == 0 {
+		fn()
+		return
+	}
+	c.await(ct, fn)
+}
+
+// await registers fn to be woken when the count next reaches zero.
+func (c *Counter) await(ct *Cont, fn func()) {
+	ct.block(c.parkState(), "")
+	c.waiters = append(c.waiters, fn)
 }

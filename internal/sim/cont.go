@@ -2,37 +2,24 @@ package sim
 
 import "strconv"
 
-// This file adds the continuation execution mode: simulated threads
-// that run as state machines of kernel callbacks instead of parked
-// goroutines. A goroutine-backed Proc pays two channel handoffs (a
-// park and a resume through the Go scheduler) every time it blocks;
-// a Cont pays one closure scheduled on the event heap. At the
-// hundred-thousand-thread scales the paper's SVD argument is about,
-// that difference — and the per-goroutine stacks — is what bounds the
-// simulator, so the hot blocking primitives (Sleep, Completion.Wait,
-// Counter.Wait, Resource.Acquire, Queue.Pop) all have continuation
-// variants whose kernel event sequences are bit-identical to their
-// blocking twins: a run executed in either mode produces the same
-// (time, seq) event stream, clock, and statistics.
+// This file holds the continuation execution mode: simulated threads
+// that run as state machines of kernel callbacks, with no coroutine
+// behind them. The blocking primitives (Sleep, Completion.Wait,
+// Counter.Wait, Resource.Acquire, Queue.Pop) are implemented once, in
+// the continuation-passing form below and in their types' …C methods;
+// a Proc's blocking methods start those with its wake callback and
+// suspend. Waking a waiter costs exactly one kernel event in either
+// mode, so a run produces the same (time, seq) event stream, clock and
+// statistics whichever way its threads are executed.
 
-// waiter is one parked consumer of a Completion, Counter or Queue:
-// either a goroutine-backed process to resume or a continuation
-// callback to schedule. Exactly one field is set. Waking either form
-// costs exactly one kernel event, which is what keeps the two
-// execution modes' event streams identical.
-type waiter struct {
-	p  *Proc
-	fn func()
-}
-
-// wake schedules the waiter to run at the current time.
-func (k *Kernel) wake(w waiter) {
-	k.schedule(k.now, w.p, w.fn)
+// wake schedules a waiter's callback to run at the current time.
+func (k *Kernel) wake(fn func()) {
+	k.schedule(k.now, fn)
 }
 
 // Cont is a continuation-mode simulated thread: a chain of callbacks
-// scheduled directly on the event heap, with no goroutine and no
-// channels behind it. Bodies are written in continuation-passing
+// scheduled directly on the event heap, with no coroutine and no
+// stack behind it. Bodies are written in continuation-passing
 // style — each blocking primitive takes the rest of the computation
 // as a callback — and must call Finish exactly once when the thread's
 // program is complete; a live (unfinished) Cont keeps deadlock
@@ -42,7 +29,8 @@ type Cont struct {
 	namePrefix string
 	nameIdx    int // -1: prefix is the full name
 	seq        uint64
-	state      string // diagnostic: what the continuation waits on
+	state      string // diagnostic: what the continuation waits on ...
+	stateArg   string // ... and on which object
 	since      Time   // virtual time it last blocked
 	finished   bool
 }
@@ -63,14 +51,18 @@ func (c *Cont) Kernel() *Kernel { return c.k }
 func (c *Cont) Now() Time { return c.k.now }
 
 // block records what the continuation is about to wait on, for
-// deadlock diagnostics (the analogue of Proc.park's state tracking).
-func (c *Cont) block(state string) {
-	c.state = state
+// deadlock diagnostics: state followed by arg, kept apart so that
+// naming the wait allocates nothing.
+func (c *Cont) block(state, arg string) {
+	c.state, c.stateArg = state, arg
 	c.since = c.k.now
 }
 
 // unblock marks the continuation runnable again.
-func (c *Cont) unblock() { c.state = "running" }
+func (c *Cont) unblock() { c.state, c.stateArg = "running", "" }
+
+// waitingOn renders the diagnostic state block recorded.
+func (c *Cont) waitingOn() string { return c.state + c.stateArg }
 
 // SpawnC creates a continuation-mode thread named name and schedules
 // body to start at the current time — one kernel event, exactly like
@@ -95,7 +87,7 @@ func (k *Kernel) spawnC(prefix string, idx int, body func(c *Cont)) *Cont {
 		k.conts = make(map[*Cont]struct{})
 	}
 	k.conts[c] = struct{}{}
-	k.schedule(k.now, nil, func() {
+	k.schedule(k.now, func() {
 		if c.finished { // Shutdown ran before the start event
 			return
 		}
@@ -116,9 +108,8 @@ func (c *Cont) Finish() {
 	delete(c.k.conts, c)
 }
 
-// Sleep runs then after d of virtual time — the continuation twin of
-// Proc.Sleep: one kernel event for positive d, an inline continue
-// otherwise. then is scheduled directly (no unblock wrapper is
+// Sleep runs then after d of virtual time: one kernel event for
+// positive d, an inline continue otherwise. then is scheduled directly (no unblock wrapper is
 // allocated); the state string goes stale — still "sleeping" — while
 // then runs, which is fine because diagnostics only ever inspect
 // blocked continuations.
@@ -127,8 +118,8 @@ func (c *Cont) Sleep(d Duration, then func()) {
 		then()
 		return
 	}
-	c.block("sleeping")
-	c.k.schedule(c.k.now+d, nil, then)
+	c.block("sleeping", "")
+	c.k.schedule(c.k.now+d, then)
 }
 
 // Loop drives an asynchronous loop without growing the stack: step is
@@ -140,26 +131,35 @@ func (c *Cont) Sleep(d Duration, then func()) {
 // iterations (skipping non-owned indices in an init sweep, say) use
 // constant stack.
 func Loop(step func(next func())) {
-	inBody := false
-	resumed := false
-	var drive func()
-	next := func() {
-		if inBody {
-			resumed = true
+	l := &looper{step: step}
+	l.next = l.advance
+	l.drive()
+}
+
+// looper is Loop's state: one allocation for the flags and one for the
+// bound next func.
+type looper struct {
+	step            func(next func())
+	next            func()
+	inBody, resumed bool
+}
+
+func (l *looper) advance() {
+	if l.inBody {
+		l.resumed = true
+		return
+	}
+	l.drive()
+}
+
+func (l *looper) drive() {
+	for {
+		l.inBody = true
+		l.resumed = false
+		l.step(l.next)
+		l.inBody = false
+		if !l.resumed {
 			return
 		}
-		drive()
 	}
-	drive = func() {
-		for {
-			inBody = true
-			resumed = false
-			step(next)
-			inBody = false
-			if !resumed {
-				return
-			}
-		}
-	}
-	drive()
 }

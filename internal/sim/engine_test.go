@@ -81,8 +81,10 @@ func goroutinesSettleTo(t *testing.T, baseline int) int {
 }
 
 // TestShutdownReleasesGoroutines drives a run that ends with daemons
-// (and, via Stop, regular processes) still parked, and checks Shutdown
-// unwinds their goroutines instead of leaking them.
+// (and, via Stop, regular processes) still suspended, plus a process
+// whose start event never ran, and checks Shutdown releases all their
+// coroutines instead of leaking them — without running the one that
+// never started.
 func TestShutdownReleasesGoroutines(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for round := 0; round < 20; round++ {
@@ -97,6 +99,9 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 		}
 		k.Spawn("stopper", func(p *Proc) {
 			p.Sleep(5)
+			k.Spawn("never-started", func(p *Proc) {
+				t.Error("a process spawned after Stop ran")
+			})
 			k.Stop()
 		})
 		k.Spawn("sleeper", func(p *Proc) {

@@ -6,13 +6,12 @@ import (
 	"strings"
 )
 
-// event is a scheduled occurrence: either a process to resume or a
-// callback to run in kernel context.
+// event is a scheduled occurrence: a callback to run in kernel
+// context. Resuming a process is a callback too (its wake).
 type event struct {
 	t   Time
 	seq uint64 // tie-breaker: FIFO among simultaneous events
-	p   *Proc  // non-nil: resume this process
-	fn  func() // non-nil: run this callback (must not block)
+	fn  func() // the callback (must not block)
 	tm  *Timer // non-nil: cancellable (AfterTimer); skipped when cancelled
 }
 
@@ -102,17 +101,6 @@ func (h *eventHeap) popEv() event {
 	return root
 }
 
-type parkMsg struct {
-	p        *Proc
-	finished bool
-	panicVal any // non-nil if the process panicked; re-raised by Run
-}
-
-// poisonPill unwinds a parked process during Shutdown; the spawn
-// wrapper recognises it and exits the goroutine without reporting a
-// process panic.
-type poisonPill struct{}
-
 // Kernel is the discrete-event simulation engine. Create one with
 // NewKernel, spawn processes with Spawn, then call Run.
 //
@@ -120,12 +108,12 @@ type poisonPill struct{}
 // touched from process bodies or kernel callbacks; the kernel
 // guarantees these never run concurrently.
 type Kernel struct {
-	now    Time
-	heap   eventHeap
-	seq    uint64
-	parked chan parkMsg
+	now  Time
+	heap eventHeap
+	seq  uint64
 
 	procs   map[*Proc]struct{} // live (spawned, not finished) processes
+	running *Proc              // process whose body is executing; nil in callbacks
 	conts   map[*Cont]struct{} // live continuation-mode threads (see cont.go)
 	procSeq uint64             // spawn-order counter (deterministic shutdown)
 	stopped bool
@@ -137,10 +125,7 @@ type Kernel struct {
 
 // NewKernel returns an empty kernel with the clock at zero.
 func NewKernel() *Kernel {
-	return &Kernel{
-		parked: make(chan parkMsg),
-		procs:  make(map[*Proc]struct{}),
-	}
+	return &Kernel{procs: make(map[*Proc]struct{})}
 }
 
 // Now reports the current virtual time.
@@ -159,18 +144,18 @@ func (k *Kernel) SetLimit(t Time) { k.limit = t }
 // events are discarded.
 func (k *Kernel) Stop() { k.stopped = true }
 
-func (k *Kernel) schedule(t Time, p *Proc, fn func()) {
+func (k *Kernel) schedule(t Time, fn func()) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: %v < now %v", t, k.now))
 	}
 	k.seq++
-	k.heap.pushEv(event{t: t, seq: k.seq, p: p, fn: fn})
+	k.heap.pushEv(event{t: t, seq: k.seq, fn: fn})
 }
 
 // At schedules fn to run in kernel context at absolute time t.
 // fn must not block (no Sleep/Wait/Acquire); it may schedule further
 // events, complete completions, and push to queues.
-func (k *Kernel) At(t Time, fn func()) { k.schedule(t, nil, fn) }
+func (k *Kernel) At(t Time, fn func()) { k.schedule(t, fn) }
 
 // After schedules fn to run d from now. See At for restrictions on fn.
 func (k *Kernel) After(d Duration, fn func()) { k.At(k.now+d, fn) }
@@ -213,45 +198,12 @@ func (k *Kernel) SpawnDaemon(name string, body func(p *Proc)) *Proc {
 	return k.spawn(name, -1, body, true)
 }
 
-func (k *Kernel) spawn(prefix string, idx int, body func(p *Proc), daemon bool) *Proc {
-	k.procSeq++
-	p := &Proc{
-		k:          k,
-		namePrefix: prefix,
-		nameIdx:    idx,
-		seq:        k.procSeq,
-		resume:     make(chan struct{}),
-		state:      "starting",
-		daemon:     daemon,
-	}
-	k.procs[p] = struct{}{}
-	go func() {
-		<-p.resume
-		if p.poisoned { // killed before it ever ran
-			k.parked <- parkMsg{p: p, finished: true}
-			return
-		}
-		defer func() {
-			msg := parkMsg{p: p, finished: true}
-			if r := recover(); r != nil {
-				if _, poisoned := r.(poisonPill); !poisoned {
-					msg.panicVal = r
-				}
-			}
-			k.parked <- msg
-		}()
-		body(p)
-	}()
-	k.schedule(k.now, p, nil)
-	return p
-}
-
 // Run executes events until the event queue drains, Stop is called, or
 // the optional time limit is reached. It returns a DeadlockError if
 // live processes remain blocked with no pending events, which usually
 // indicates a protocol bug (a completion never completed).
 //
-// Run does not release the goroutines backing still-blocked processes;
+// Run does not release the coroutines backing still-blocked processes;
 // callers that build many kernels must call Shutdown once the run (and
 // any post-run inspection) is over.
 func (k *Kernel) Run() error {
@@ -283,79 +235,48 @@ func (k *Kernel) Run() error {
 		ev := k.heap.popEv()
 		k.now = ev.t
 		k.events++
-		if ev.fn != nil {
-			// Callback events run inline; consecutive same-time
-			// callbacks drain here without touching the Go scheduler.
-			ev.fn()
-			for !k.stopped && k.heap.Len() > 0 {
-				nx := k.heap.peek()
-				if nx.fn == nil || nx.t != k.now {
-					break
-				}
-				if nx.tm != nil && nx.tm.cancelled {
-					k.heap.popEv()
-					continue
-				}
-				fn := nx.fn
-				k.heap.popEv()
-				k.events++
-				fn()
+		ev.fn()
+		// Consecutive same-time events drain here without re-checking
+		// the loop's head conditions.
+		for !k.stopped && k.heap.Len() > 0 {
+			nx := k.heap.peek()
+			if nx.t != k.now {
+				break
 			}
-			continue
-		}
-		ev.p.state = "running"
-		ev.p.resume <- struct{}{}
-		msg := <-k.parked
-		if msg.finished {
-			msg.p.state = "finished"
-			delete(k.procs, msg.p)
-		}
-		if msg.panicVal != nil {
-			panic(fmt.Sprintf("sim: process %q panicked at %v: %v", msg.p.Name(), k.now, msg.panicVal))
+			if nx.tm != nil && nx.tm.cancelled {
+				k.heap.popEv()
+				continue
+			}
+			fn := nx.fn
+			k.heap.popEv()
+			k.events++
+			fn()
 		}
 	}
 	return nil
 }
 
-// Shutdown releases the goroutines of every live process — parked,
-// not-yet-started, or daemon — by resuming each with a poison pill
-// that unwinds its body. Call it once a kernel is done (after Run
-// returns, whether normally, by Stop/SetLimit, or with a deadlock);
-// sweeps that build hundreds of runtimes would otherwise accumulate
-// the parked goroutines forever. The kernel must not be used again
-// afterwards.
+// Shutdown releases the coroutines of every live process — suspended,
+// not-yet-started, or daemon — by stopping each in spawn order: a
+// suspended body unwinds, one that never started never runs. Call it
+// once a kernel is done (after Run returns, whether normally, by
+// Stop/SetLimit, or with a deadlock); sweeps that build hundreds of
+// runtimes would otherwise accumulate the suspended coroutines forever.
+// The kernel must not be used again afterwards.
 func (k *Kernel) Shutdown() {
 	for c := range k.conts { // continuations hold no goroutines: just drop them
 		c.finished = true
 	}
 	k.conts = nil
-	if len(k.procs) == 0 {
-		k.heap.ev = nil
-		return
-	}
-	// Deterministic kill order: spawn order.
 	victims := make([]*Proc, 0, len(k.procs))
 	for p := range k.procs {
 		victims = append(victims, p)
 	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].seq < victims[j].seq })
+	sort.Slice(victims, func(i, j int) bool { return victims[i].c.seq < victims[j].c.seq })
 	for _, p := range victims {
-		p.poisoned = true
-		for {
-			p.resume <- struct{}{}
-			msg := <-k.parked
-			if msg.finished {
-				msg.p.state = "finished"
-				delete(k.procs, msg.p)
-			}
-			if msg.panicVal != nil {
-				panic(fmt.Sprintf("sim: process %q panicked during shutdown: %v", msg.p.Name(), msg.panicVal))
-			}
-			if msg.finished && msg.p == p {
-				break
-			}
-		}
+		p.release()
 	}
+	clear(k.procs)
 	k.heap.ev = nil
 }
 
@@ -398,12 +319,12 @@ func (k *Kernel) deadlock() error {
 		if p.daemon {
 			continue
 		}
-		blocked = append(blocked, p.Name()+": "+p.state)
-		procs = append(procs, BlockedProc{Name: p.Name(), State: p.state, Since: p.since})
+		blocked = append(blocked, p.Name()+": "+p.c.waitingOn())
+		procs = append(procs, BlockedProc{Name: p.Name(), State: p.c.waitingOn(), Since: p.c.since})
 	}
 	for c := range k.conts {
-		blocked = append(blocked, c.Name()+": "+c.state)
-		procs = append(procs, BlockedProc{Name: c.Name(), State: c.state, Since: c.since})
+		blocked = append(blocked, c.Name()+": "+c.waitingOn())
+		procs = append(procs, BlockedProc{Name: c.Name(), State: c.waitingOn(), Since: c.since})
 	}
 	sort.Strings(blocked)
 	sort.Slice(procs, func(i, j int) bool {

@@ -11,7 +11,7 @@ type Queue[T any] struct {
 	popState string // precomputed park diagnostic
 	items    []T    // live window is items[head:]
 	head     int
-	waiters  []waiter // consumers parked in Pop/PopC
+	waiters  []func() // consumers parked in Pop/PopC
 	notify   func()   // callback consumer hook, invoked after each Push
 	pushes   int64
 	maxLen   int
@@ -50,7 +50,7 @@ func (q *Queue[T]) Push(v T) {
 	if len(q.waiters) > 0 {
 		w := q.waiters[0]
 		n := copy(q.waiters, q.waiters[1:])
-		q.waiters[n] = waiter{} // release for GC
+		q.waiters[n] = nil // release for GC
 		q.waiters = q.waiters[:n]
 		q.k.wake(w)
 	}
@@ -84,27 +84,31 @@ func (q *Queue[T]) take() T {
 // available.
 func (q *Queue[T]) Pop(p *Proc) T {
 	for q.Len() == 0 {
-		q.waiters = append(q.waiters, waiter{p: p})
-		p.park(q.popState)
+		q.await(&p.c, p.wakeFn)
+		p.Suspend()
 	}
 	return q.take()
 }
 
 // PopC removes the oldest item and passes it to fn, blocking a
-// continuation-mode thread until one is available — the continuation
-// twin of Pop, including the re-check after a wake: if another
-// consumer drained the queue first, the continuation re-registers,
-// exactly like the blocking loop re-parking.
+// continuation-mode thread until one is available — including the
+// re-check after a wake: if another consumer drained the queue first,
+// the continuation re-registers, exactly like Pop's loop.
 func (q *Queue[T]) PopC(ct *Cont, fn func(v T)) {
 	if q.Len() > 0 {
 		fn(q.take())
 		return
 	}
-	ct.block(q.popState)
-	q.waiters = append(q.waiters, waiter{fn: func() {
+	q.await(ct, func() {
 		ct.unblock()
 		q.PopC(ct, fn)
-	}})
+	})
+}
+
+// await registers fn to be woken by the next Push.
+func (q *Queue[T]) await(ct *Cont, fn func()) {
+	ct.block(q.popState, "")
+	q.waiters = append(q.waiters, fn)
 }
 
 // TryPop removes and returns the oldest item without blocking.

@@ -24,10 +24,8 @@ type Resource struct {
 	busyTime  Duration
 }
 
-// resWaiter is one queued acquirer: a parked process, or a callback to
-// grant the slot to (the handoff-free path).
+// resWaiter is one queued acquirer: the callback to grant the slot to.
 type resWaiter struct {
-	p     *Proc
 	fn    func()
 	since Time
 }
@@ -72,17 +70,8 @@ func (r *Resource) popWaiter() resWaiter {
 
 // Acquire blocks p until a slot is available and takes it.
 func (r *Resource) Acquire(p *Proc) {
-	r.acquires++
-	if r.inUse < r.capacity && r.queueLen() == 0 {
-		r.accumulate()
-		r.inUse++
-		return
-	}
-	since := r.k.now
-	r.pushWaiter(resWaiter{p: p, since: since})
-	p.park(r.parkState)
-	r.totalWait += r.k.now - since
-	// The releasing side transferred the slot to us: inUse unchanged.
+	r.AcquireCont(&p.c, p.wakeFn)
+	p.Suspend()
 }
 
 // AcquireC takes a slot on behalf of a kernel callback: fn runs —
@@ -102,11 +91,10 @@ func (r *Resource) AcquireC(fn func()) {
 }
 
 // AcquireCont blocks a continuation-mode thread until a slot is
-// available, then runs fn holding it — the continuation twin of
-// Acquire, with the same event cost (inline grant when free, one
-// kernel event when queued behind a Release) and the same FIFO
-// ordering and wait-time accounting. The slot is held until a matching
-// Release, which may come from a later continuation step.
+// available, then runs fn holding it: inline when free, one kernel
+// event when queued behind a Release, FIFO with every other acquirer.
+// The slot is held until a matching Release, which may come from a
+// later continuation step.
 func (r *Resource) AcquireCont(ct *Cont, fn func()) {
 	r.acquires++
 	if r.inUse < r.capacity && r.queueLen() == 0 {
@@ -117,19 +105,8 @@ func (r *Resource) AcquireCont(ct *Cont, fn func()) {
 	}
 	// fn is queued directly — no unblock wrapper; the stale state
 	// string is harmless (diagnostics only inspect blocked conts).
-	ct.block(r.parkState)
+	ct.block(r.parkState, "")
 	r.pushWaiter(resWaiter{fn: fn, since: r.k.now})
-}
-
-// UseCont acquires a slot, holds it for service time d, releases it,
-// and continues with then — the continuation twin of Use.
-func (r *Resource) UseCont(ct *Cont, d Duration, then func()) {
-	r.AcquireCont(ct, func() {
-		ct.Sleep(d, func() {
-			r.Release()
-			then()
-		})
-	})
 }
 
 // TryAcquire takes a slot if one is free, reporting whether it did.
@@ -150,12 +127,8 @@ func (r *Resource) Release() {
 	}
 	if r.queueLen() > 0 {
 		w := r.popWaiter()
-		if w.p != nil {
-			r.k.schedule(r.k.now, w.p, nil)
-		} else {
-			r.totalWait += r.k.now - w.since
-			r.k.schedule(r.k.now, nil, w.fn)
-		}
+		r.totalWait += r.k.now - w.since
+		r.k.schedule(r.k.now, w.fn)
 		return // slot transferred; inUse unchanged
 	}
 	r.accumulate()

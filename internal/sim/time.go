@@ -1,8 +1,9 @@
 // Package sim provides a deterministic, process-oriented discrete-event
 // simulation kernel. It is the substrate on which the simulated cluster
 // (fabric, transports, UPC runtime) executes: simulated entities are
-// goroutine-backed processes that advance a shared virtual clock by
-// sleeping, waiting on completions, and contending for resources.
+// processes (coroutines) or continuation-mode threads that advance a
+// shared virtual clock by sleeping, waiting on completions, and
+// contending for resources.
 //
 // The kernel runs exactly one process at a time and orders simultaneous
 // events by insertion sequence, so a simulation is fully deterministic

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"fmt"
-	"sort"
 
 	"xlupc/internal/fabric"
 	"xlupc/internal/flight"
@@ -120,6 +119,10 @@ type coalescer struct {
 	cfg   CoalConfig
 	bufs  map[coalKey]*coalBuf
 	stats CoalStats
+
+	// Pooled appendCont and FlushCoalescedC states.
+	appends []*coalAppend
+	flushes []*flushAll
 }
 
 // EnableCoalescing turns on per-destination message coalescing. Must be
@@ -152,29 +155,6 @@ func (c *coalescer) buf(key coalKey) *coalBuf {
 		c.bufs[key] = b
 	}
 	return b
-}
-
-// append parks one operation in its buffer, charging the (small) append
-// cost to the calling process, and flushes inline when a threshold
-// trips. subwire is the operation's contribution to the frame.
-func (c *coalescer) append(p *sim.Proc, key coalKey, op any, subwire int, span *telemetry.Span) {
-	if key.src == key.dst {
-		panic(fmt.Sprintf("transport: node %d coalescing to itself", key.src))
-	}
-	p.Sleep(c.cfg.AppendCost)
-	b := c.buf(key)
-	if len(b.ops) == 0 && c.cfg.FlushDelay > 0 {
-		b.timer = c.m.K.AfterTimer(c.cfg.FlushDelay, func() { c.flushC(b) })
-	}
-	b.ops = append(b.ops, op)
-	b.spans = append(b.spans, span)
-	b.queued = append(b.queued, p.Now())
-	b.bytes += subwire
-	c.stats.Msgs++
-	c.m.Tel.Add("xlupc_coalesce_msgs_total", "", 1)
-	if len(b.ops) >= c.cfg.MaxOps || b.bytes >= c.cfg.MaxBytes {
-		c.flush(p, b, "size")
-	}
 }
 
 // take detaches a buffer for flushing: cancels its timer, removes it
@@ -253,46 +233,7 @@ func (b *coalBuf) stamp(frame any, flushStart, sent, arrived sim.Time) {
 		span.Phase(telemetry.PhaseCoalFlush, b.queued[i], flushStart)
 	}
 	for _, op := range b.ops {
-		switch o := op.(type) {
-		case *Msg:
-			o.sent, o.arrived = sent, arrived
-		case *dmaGet:
-			o.sent, o.arrived = sent, arrived
-		case *dmaPut:
-			o.sent, o.arrived = sent, arrived
-		case *dmaAtomic:
-			o.sent, o.arrived = sent, arrived
-		}
-	}
-}
-
-// flush injects a buffer's frame from process context: one send
-// overhead, one TX acquisition, one serialization for the whole batch.
-func (c *coalescer) flush(p *sim.Proc, b *coalBuf, reason string) {
-	if !c.take(b) {
-		return
-	}
-	c.noteFlush(reason)
-	flushStart := p.Now()
-	frame, wire := c.frame(b)
-	p.Sleep(c.m.Prof.SendOverhead)
-	tx := c.m.Fab.Port(b.key.src).TX
-	tx.Acquire(p)
-	var arrived sim.Time
-	if rl := c.m.rel; rl != nil {
-		arrived = rl.inject(p, b.key.src, b.key.dst, wire, b.key.class, frame, nil)
-	} else {
-		arrived = c.m.Fab.Inject(p, b.key.src, b.key.dst, wire, b.key.class, frame)
-	}
-	tx.Release()
-	sent := p.Now()
-	b.stamp(frame, flushStart, sent, arrived)
-	phase := telemetry.PhaseSend
-	if b.key.class == fabric.ClassDMA {
-		phase = telemetry.PhaseRDMASetup
-	}
-	for _, span := range b.spans {
-		span.Phase(phase, flushStart, sent)
+		stampWire(op, sent, arrived)
 	}
 }
 
@@ -317,53 +258,6 @@ func (c *coalescer) flushC(b *coalBuf) {
 		}
 		c.m.Fab.InjectC(b.key.src, b.key.dst, wire, b.key.class, frame, finish)
 	})
-}
-
-// FlushCoalesced flushes every buffer node src has open, in
-// deterministic (dst, class) order. Sync, fence and end-of-batch
-// service call it; a machine without coalescing no-ops.
-func (m *Machine) FlushCoalesced(p *sim.Proc, src int) {
-	c := m.coal
-	if c == nil {
-		return
-	}
-	var keys []coalKey
-	for k, b := range c.bufs {
-		if k.src == src && len(b.ops) > 0 {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].dst != keys[j].dst {
-			return keys[i].dst < keys[j].dst
-		}
-		return keys[i].class < keys[j].class
-	})
-	for _, k := range keys {
-		c.flush(p, c.bufs[k], "sync")
-	}
-}
-
-// SendAMCoalesced queues an active message into the (src,dst)
-// coalescing buffer, or falls back to an individual SendAMSpan when
-// coalescing is off. The logical message keeps its own handler, meta,
-// payload and span; only the wire framing is shared.
-func (m *Machine) SendAMCoalesced(p *sim.Proc, src, dst int, id HandlerID, meta any, payload []byte, extra int, span *telemetry.Span) {
-	c := m.coal
-	if c == nil {
-		m.SendAMSpan(p, src, dst, id, meta, payload, extra, span)
-		return
-	}
-	if src == dst {
-		panic("transport: AM to self; intra-node traffic must use shared memory")
-	}
-	m.amCount++
-	sub := c.cfg.SubHeaderBytes + len(payload) + extra
-	msg := m.newMsg()
-	msg.Src, msg.Dst, msg.Handler, msg.Meta, msg.Payload = src, dst, id, meta, payload
-	msg.wire = sub
-	msg.Span = span
-	c.append(p, coalKey{src: src, dst: dst, class: fabric.ClassAM}, msg, sub, span)
 }
 
 // ReplyToSpan replies to req from inside its handler. While req is
@@ -435,7 +329,8 @@ func (m *Machine) serveBatch(p *sim.Proc, nd *Node, b *batchMsg) {
 		}
 	}
 	if len(reply.ops) > 0 {
-		c.flush(p, reply, "sync")
+		c.flushCont(p.Cont(), reply, "sync", p.WakeFn())
+		p.Suspend()
 	} else {
 		reply.closed = true
 	}

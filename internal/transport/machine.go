@@ -328,26 +328,8 @@ func (m *Machine) SendAM(p *sim.Proc, src, dst int, id HandlerID, meta any, payl
 // the span rides with the message so the target's dispatcher and
 // handler attribute their phases into the same operation.
 func (m *Machine) SendAMSpan(p *sim.Proc, src, dst int, id HandlerID, meta any, payload []byte, extra int, span *telemetry.Span) {
-	if src == dst {
-		panic("transport: AM to self; intra-node traffic must use shared memory")
-	}
-	m.amCount++
-	msg := m.newMsg()
-	msg.Src, msg.Dst, msg.Handler, msg.Meta, msg.Payload = src, dst, id, meta, payload
-	msg.wire = m.Prof.AMHeaderBytes + len(payload) + extra
-	msg.Span = span
-	t0 := p.Now()
-	p.Sleep(m.Prof.SendOverhead)
-	tx := m.Fab.Port(src).TX
-	tx.Acquire(p)
-	if m.rel != nil {
-		msg.arrived = m.rel.inject(p, src, dst, msg.wire, fabric.ClassAM, msg, span)
-	} else {
-		msg.arrived = m.Fab.Inject(p, src, dst, msg.wire, fabric.ClassAM, msg)
-	}
-	tx.Release()
-	msg.sent = p.Now()
-	span.Phase(telemetry.PhaseSend, t0, msg.sent)
+	m.SendAMSpanC(p.Cont(), src, dst, id, meta, payload, extra, span, p.WakeFn())
+	p.Suspend()
 }
 
 // ReplyAM is SendAM for use inside handlers (identical mechanics; the

@@ -18,13 +18,11 @@ type pools struct {
 	atomics []*dmaAtomic
 	resps   []*dmaResp
 
-	// Continuation-mode initiator state machines (see cont.go and
-	// atomic.go). These hold no injected object, so they are safe to
-	// pool even under the reliable layer.
-	rgets    []*rdmaGetOp
-	rputs    []*rdmaPutOp
-	ratomics []*rdmaAtomicOp
-	ams      []*amSendOp
+	// Initiator state machines and blocking-call result records (see
+	// cont.go). These hold no injected object, so they are safe to pool
+	// even under the reliable layer.
+	xfers []*xferOp
+	calls []*procCall
 }
 
 // Retain marks the message as requeued by its handler: the dispatcher

@@ -92,36 +92,9 @@ func (m *Machine) RDMAGet(p *sim.Proc, src, dst int, base, raddr mem.Addr, size 
 // equal size): the data lands there with no per-read allocation, and
 // the returned data aliases it.
 func (m *Machine) RDMAGetSpan(p *sim.Proc, src, dst int, base, raddr mem.Addr, into []byte, size int, epoch uint32, span *telemetry.Span) (data []byte, nack Nack, ok bool) {
-	m.rdmaCount++
-	done := sim.NewCompletion(m.K, "rdma-get")
-	t0 := p.Now()
-	p.Sleep(m.Prof.RDMASetup)
-	tx := m.Fab.Port(src).TX
-	tx.Acquire(p)
-	op := m.newDMAGet()
-	*op = dmaGet{initiator: src, base: base, raddr: raddr, size: size, dst: into, epoch: epoch, done: done, span: span}
-	if m.rel != nil {
-		op.arrived = m.rel.inject(p, src, dst, m.Prof.RDMADescBytes, fabric.ClassDMA, op, span)
-	} else {
-		op.arrived = m.Fab.Inject(p, src, dst, m.Prof.RDMADescBytes, fabric.ClassDMA, op)
-	}
-	tx.Release()
-	op.sent = p.Now()
-	span.Phase(telemetry.PhaseRDMASetup, t0, op.sent)
-	p.Wait(done)
-	// RDMA mode adds latency (the HPS trait) without occupying any
-	// engine: charge it to the initiator's roundtrip.
-	lat := p.Now()
-	p.Sleep(m.Prof.RDMAExtraLatency)
-	span.Phase(telemetry.PhaseRDMALatency, lat, p.Now())
-	val := done.Value()
-	data = done.Bytes()
-	m.K.Recycle(done) // fully consumed: no reference survives this call
-	if nk, isNack := val.(Nack); isNack {
-		m.noteNack("get")
-		return nil, nk, false
-	}
-	return data, Nack{}, true
+	c := m.newCall(p)
+	m.RDMAGetSpanC(p.Cont(), src, dst, base, raddr, into, size, epoch, span, c.dataFn)
+	return c.dataResult()
 }
 
 // RDMAPut performs a one-sided write of data to raddr in dst's memory.
@@ -137,91 +110,15 @@ func (m *Machine) RDMAPut(p *sim.Proc, src, dst int, base, raddr mem.Addr, data 
 // RDMAPutSpan is RDMAPut carrying the initiator's believed target epoch
 // and a telemetry span.
 func (m *Machine) RDMAPutSpan(p *sim.Proc, src, dst int, base, raddr mem.Addr, data []byte, epoch uint32, span *telemetry.Span) *sim.Completion {
-	m.rdmaCount++
-	done := sim.NewCompletion(m.K, "rdma-put")
-	t0 := p.Now()
-	p.Sleep(m.Prof.RDMASetup)
-	tx := m.Fab.Port(src).TX
-	tx.Acquire(p)
-	op := m.newDMAPut()
-	*op = dmaPut{initiator: src, base: base, raddr: raddr, data: data, epoch: epoch, done: done, span: span}
-	if m.rel != nil {
-		op.arrived = m.rel.inject(p, src, dst, m.Prof.RDMADescBytes+len(data), fabric.ClassDMA, op, span)
-	} else {
-		op.arrived = m.Fab.Inject(p, src, dst, m.Prof.RDMADescBytes+len(data), fabric.ClassDMA, op)
-	}
-	tx.Release()
-	op.sent = p.Now()
-	span.Phase(telemetry.PhaseRDMASetup, t0, op.sent)
-	lat := p.Now()
-	p.Sleep(m.Prof.RDMAExtraLatency) // hardware completion of the origin side
-	span.Phase(telemetry.PhaseRDMALatency, lat, p.Now())
-	return done
-}
-
-// RDMAGetStart issues a one-sided read without blocking: the returned
-// completion fires at the initiator with the data ([]byte) or a Nack,
-// after the transport's RDMA-mode extra latency has elapsed. With
-// coalescing enabled the descriptor joins the (src,dst) doorbell batch
-// instead of paying its own setup, TX arbitration and injection.
-func (m *Machine) RDMAGetStart(p *sim.Proc, src, dst int, base, raddr mem.Addr, into []byte, size int, epoch uint32, span *telemetry.Span) *sim.Completion {
-	m.rdmaCount++
-	done := sim.NewCompletion(m.K, "rdma-get")
-	res := m.nbResult(done, "get", span)
-	op := m.newDMAGet()
-	*op = dmaGet{initiator: src, base: base, raddr: raddr, size: size, dst: into, epoch: epoch, done: done, span: span}
-	if c := m.coal; c != nil {
-		c.append(p, coalKey{src: src, dst: dst, class: fabric.ClassDMA}, op, m.Prof.RDMADescBytes, span)
-		return res
-	}
-	t0 := p.Now()
-	p.Sleep(m.Prof.RDMASetup)
-	tx := m.Fab.Port(src).TX
-	tx.Acquire(p)
-	if m.rel != nil {
-		op.arrived = m.rel.inject(p, src, dst, m.Prof.RDMADescBytes, fabric.ClassDMA, op, span)
-	} else {
-		op.arrived = m.Fab.Inject(p, src, dst, m.Prof.RDMADescBytes, fabric.ClassDMA, op)
-	}
-	tx.Release()
-	op.sent = p.Now()
-	span.Phase(telemetry.PhaseRDMASetup, t0, op.sent)
-	return res
-}
-
-// RDMAPutStart issues a one-sided write without blocking the caller
-// through the RDMA-mode completion latency. The returned completion
-// fires when the data is globally visible in target memory (or with a
-// Nack); fences and split-phase handles wait on it. With coalescing
-// enabled the descriptor and its payload join the doorbell batch.
-func (m *Machine) RDMAPutStart(p *sim.Proc, src, dst int, base, raddr mem.Addr, data []byte, epoch uint32, span *telemetry.Span) *sim.Completion {
-	m.rdmaCount++
-	done := sim.NewCompletion(m.K, "rdma-put")
-	op := m.newDMAPut()
-	*op = dmaPut{initiator: src, base: base, raddr: raddr, data: data, epoch: epoch, done: done, span: span}
-	if c := m.coal; c != nil {
-		c.append(p, coalKey{src: src, dst: dst, class: fabric.ClassDMA}, op, m.Prof.RDMADescBytes+len(data), span)
-		return done
-	}
-	t0 := p.Now()
-	p.Sleep(m.Prof.RDMASetup)
-	tx := m.Fab.Port(src).TX
-	tx.Acquire(p)
-	if m.rel != nil {
-		op.arrived = m.rel.inject(p, src, dst, m.Prof.RDMADescBytes+len(data), fabric.ClassDMA, op, span)
-	} else {
-		op.arrived = m.Fab.Inject(p, src, dst, m.Prof.RDMADescBytes+len(data), fabric.ClassDMA, op)
-	}
-	tx.Release()
-	op.sent = p.Now()
-	span.Phase(telemetry.PhaseRDMASetup, t0, op.sent)
-	return done
+	c := m.newCall(p)
+	m.RDMAPutSpanC(p.Cont(), src, dst, base, raddr, data, epoch, span, c.doneFn)
+	return c.doneResult()
 }
 
 // nbResult wraps a split-phase RDMA read's completion: the
 // caller-visible completion fires only after the transport's RDMA-mode
 // extra latency, and NACKs are counted when the initiator observes
-// them, matching the blocking path's accounting.
+// them, like a blocking read's.
 func (m *Machine) nbResult(done *sim.Completion, opName string, span *telemetry.Span) *sim.Completion {
 	res := sim.NewCompletion(m.K, "rdma-nb")
 	done.Then(func(v any) {
@@ -270,10 +167,9 @@ func (e *dmaEngine) recordNack(kind flight.Kind, initiator int, seq uint64) {
 
 // dmaEngine is a node's NIC DMA engine: it services RDMA descriptors
 // with no CPU involvement, one at a time, entirely as kernel callbacks
-// — the handoff-free replacement for the parked dispatcher process
-// (two channel rendezvous per hop) the engine used to be. Descriptors
-// wait in the port's DMA queue while the engine is busy, so queue
-// telemetry keeps measuring real residency.
+// rather than a dispatcher process. Descriptors wait in the port's DMA
+// queue while the engine is busy, so queue telemetry keeps measuring
+// real residency.
 type dmaEngine struct {
 	m    *Machine
 	nd   *Node

@@ -191,15 +191,6 @@ func (rl *reliability) peerReset(node int) {
 	}
 }
 
-// inject is the process-context send path (the caller holds src's TX,
-// exactly like fabric.Inject). It returns the nominal arrival time.
-func (rl *reliability) inject(p *sim.Proc, src, dst int, wire int, class fabric.Class, inner any, span *telemetry.Span) sim.Time {
-	env := rl.wrap(src, dst, wire, class, inner, span)
-	arrive := rl.m.Fab.Inject(p, src, dst, env.wire, class, env)
-	rl.track(env)
-	return arrive
-}
-
 // injectC is the kernel-callback send path (fabric.InjectC semantics:
 // the caller holds src's TX through done).
 func (rl *reliability) injectC(src, dst int, wire int, class fabric.Class, inner any, span *telemetry.Span, done func(arrive sim.Time)) {

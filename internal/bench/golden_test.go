@@ -1,14 +1,13 @@
 package bench
 
-// Absolute virtual-time fingerprints for the dual-mode parity tests.
-// Agreement between the two execution modes proves little on its own
-// once both share one protocol implementation, so every parity point
-// is also pinned to fixed numbers: the kernel event count, the virtual
-// makespan and the program checksum, recorded in
-// testdata/parity_golden.txt. Regenerate the file (only when a change
-// is meant to move the virtual-time results, and say why) with
+// Absolute virtual-time fingerprints. Every parity and golden point is
+// pinned to fixed numbers: the kernel event count, the virtual
+// makespan and the program checksum (or a digest of the whole result,
+// see driver_golden_test.go), recorded in testdata/parity_golden.txt.
+// Regenerate the file (only when a change is meant to move the
+// virtual-time results, and say why) with
 //
-//	go test ./internal/bench -run 'Parity' -update
+//	go test ./internal/bench -run 'Parity|Golden' -update
 
 import (
 	"bufio"

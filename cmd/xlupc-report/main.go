@@ -41,16 +41,9 @@ func main() {
 	scale := flag.Bool("scale", false, "append the big-scale dual-mode sweep (32k threads / 1k nodes with -full, 8k / 256 otherwise); virtual columns are deterministic, host columns are not")
 	flightOn := flag.Bool("flight", false, "attach a flight recorder to the chaos/crash runs; a failing run dumps its last events per involved node to stderr (costs no virtual time: report figures are unchanged)")
 	flightDump := flag.String("flight-dump", "", "write flight dumps to `path` instead of stderr (implies -flight); a clean report writes an on-demand representative capture there instead")
-	execFlag := flag.String("exec", "goroutine", "execution mode: goroutine or cont (report figures are bit-identical; host performance differs)")
 	pf := hostprof.Register(nil)
 	flag.Parse()
 	bench.SetParallelism(*parallel)
-	mode, err := bench.ParseExec(*execFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "xlupc-report: %v\n", err)
-		os.Exit(2)
-	}
-	bench.SetExec(mode)
 
 	var flightW io.Writer = os.Stderr
 	var flightFile *os.File

@@ -1,66 +1,10 @@
 package bench
 
 import (
-	"reflect"
 	"testing"
 
-	"xlupc/internal/core"
 	"xlupc/internal/transport"
 )
-
-// withExec runs fn with the package execution mode scoped to m.
-func withExec(m core.ExecMode, fn func()) {
-	prev := SetExec(m)
-	defer SetExec(prev)
-	fn()
-}
-
-// TestDriversAgreeAcrossExecModes runs the refitted sweep drivers —
-// stressmark, microbenchmark, chaos, crash and KV — in both execution
-// modes and requires identical figures. This is the flag's honesty
-// check: -exec cont must change host mechanics only.
-func TestDriversAgreeAcrossExecModes(t *testing.T) {
-	sc := Scale{Threads: 8, Nodes: 4}
-	kvOpts := KVOpts{
-		Scale: sc, Prof: transport.GM(), Ops: 60, Keys: 512,
-		Theta: 0.9, ReadFrac: 0.9, Rate: 120000, Cached: true, Seed: 5,
-	}
-	type figures struct {
-		mark  core.RunStats
-		micro float64
-		chaos ChaosPoint
-		crash CrashPoint
-		kv    KVResult
-	}
-	collect := func(m core.ExecMode) (f figures) {
-		withExec(m, func() {
-			f.mark = runStressmark("pointer", sc, transport.GM(), core.DefaultCache(), 5)
-			s := MicroLatency(OpGet, true, MicroOpts{
-				Prof: transport.GM(), Size: 64, Reps: 6, Warm: 2, Seed: 5})
-			f.micro = s.Mean()
-			f.chaos = ChaosSweep("update", transport.GM(), sc, []float64{0.01}, 5)[0]
-			f.crash = CrashSweep("update", transport.GM(), sc, []float64{0.1}, 150, 5)[0]
-			f.kv = RunKV(kvOpts)
-		})
-		return
-	}
-	g, c := collect(core.ExecGoroutine), collect(core.ExecCont)
-	if !reflect.DeepEqual(g.mark, c.mark) {
-		t.Errorf("runStressmark diverged:\ngoroutine %+v\ncont      %+v", g.mark, c.mark)
-	}
-	if g.micro != c.micro {
-		t.Errorf("MicroLatency diverged: goroutine %v, cont %v", g.micro, c.micro)
-	}
-	if !reflect.DeepEqual(g.chaos, c.chaos) {
-		t.Errorf("ChaosSweep diverged:\ngoroutine %+v\ncont      %+v", g.chaos, c.chaos)
-	}
-	if !reflect.DeepEqual(g.crash, c.crash) {
-		t.Errorf("CrashSweep diverged:\ngoroutine %+v\ncont      %+v", g.crash, c.crash)
-	}
-	if !reflect.DeepEqual(g.kv, c.kv) {
-		t.Errorf("RunKV diverged:\ngoroutine %+v\ncont      %+v", g.kv, c.kv)
-	}
-}
 
 // TestKVCachedBeatsAMOnlySweep is the acceptance claim at driver
 // level: across the skew sweep, the cached one-sided path improves on
@@ -99,20 +43,6 @@ func TestKVCurvesCompleteUnderHazards(t *testing.T) {
 	}
 	if crash[0].Result.Run.Crashes == 0 {
 		t.Errorf("crash curve at rate 0.2 crashed no nodes — schedule not applied")
-	}
-}
-
-func TestParseExec(t *testing.T) {
-	for s, want := range map[string]core.ExecMode{
-		"": core.ExecGoroutine, "goroutine": core.ExecGoroutine, "cont": core.ExecCont,
-	} {
-		got, err := ParseExec(s)
-		if err != nil || got != want {
-			t.Errorf("ParseExec(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseExec("fibers"); err == nil {
-		t.Error("ParseExec accepted an unknown mode")
 	}
 }
 

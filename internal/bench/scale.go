@@ -131,6 +131,15 @@ func bigChase(t *core.Thread, o BigOpts, a *core.SharedArray, done func(uint64))
 	t.GetUint64C(a.At(pos), step)
 }
 
+// bigChecksum folds the per-thread chase checksums into one.
+func bigChecksum(checks []uint64) uint64 {
+	var check uint64
+	for i, c := range checks {
+		check ^= bigHash(c + uint64(i))
+	}
+	return check
+}
+
 // ScalePoint is one big-scale measurement: the virtual result (mode
 // independent — both execution modes must agree bit for bit) plus the
 // host cost of computing it in the chosen mode.
@@ -142,10 +151,13 @@ type ScalePoint struct {
 	KernelEvents int64
 	Checksum     uint64
 
-	Wall           time.Duration
-	EventsPerSec   float64
-	AllocsPerEv    float64 // host heap allocations per kernel event
-	BytesPerThread float64 // host bytes allocated per simulated thread
+	Wall         time.Duration
+	EventsPerSec float64
+	AllocsPerEv  float64 // host heap allocations per kernel event
+	// HeapBytesPerThread is host heap allocated per simulated thread
+	// (MemStats.TotalAlloc). Goroutine and coroutine stacks are not
+	// heap and do not show here; peak RSS is the measure for them.
+	HeapBytesPerThread float64
 }
 
 func execName(m core.ExecMode) string {
@@ -195,16 +207,12 @@ func ScaleMark(o BigOpts) (ScalePoint, error) {
 		return ScalePoint{}, err
 	}
 
-	var check uint64
-	for i, c := range checks {
-		check ^= bigHash(c + uint64(i))
-	}
 	sp := ScalePoint{
 		Mode:    execName(o.Exec),
 		Threads: o.Threads, Nodes: o.Nodes,
 		Elapsed:      st.Elapsed,
 		KernelEvents: st.KernelEvents,
-		Checksum:     check,
+		Checksum:     bigChecksum(checks),
 		Wall:         wall,
 	}
 	if st.KernelEvents > 0 {
@@ -215,22 +223,22 @@ func ScaleMark(o BigOpts) (ScalePoint, error) {
 		sp.AllocsPerEv = float64(m1.Mallocs-m0.Mallocs) / ev
 	}
 	if o.Threads > 0 {
-		sp.BytesPerThread = float64(m1.TotalAlloc-m0.TotalAlloc) / float64(o.Threads)
+		sp.HeapBytesPerThread = float64(m1.TotalAlloc-m0.TotalAlloc) / float64(o.Threads)
 	}
 	return sp, nil
 }
 
 // PrintScale runs the big-scale point in both execution modes and
 // prints the comparison the PR description quotes: events/sec,
-// allocs/op and bytes per thread side by side, plus the continuation
+// allocs/op and heap bytes per thread side by side, plus the continuation
 // speedup. The virtual columns must agree between rows; a mismatch is
 // reported loudly (it would mean the determinism contract is broken).
 func PrintScale(w io.Writer, o BigOpts) ([2]ScalePoint, error) {
 	var pts [2]ScalePoint
 	fmt.Fprintf(w, "# Big-scale sweep — %s, %d threads / %d nodes, %d elems/thread, %d hops (host columns vary with machine load)\n",
 		o.Prof.Name, o.Threads, o.Nodes, o.ElemsPerThread, o.Hops)
-	fmt.Fprintf(w, "%10s %12s %12s %17s | %10s %12s %10s %12s\n",
-		"mode", "virt-time", "events", "checksum", "wall", "events/s", "allocs/ev", "bytes/thread")
+	fmt.Fprintf(w, "%10s %12s %12s %17s | %10s %12s %10s %13s\n",
+		"mode", "virt-time", "events", "checksum", "wall", "events/s", "allocs/ev", "heap-B/thread")
 	for i, mode := range []core.ExecMode{core.ExecGoroutine, core.ExecCont} {
 		oo := o
 		oo.Exec = mode
@@ -239,16 +247,16 @@ func PrintScale(w io.Writer, o BigOpts) ([2]ScalePoint, error) {
 			return pts, err
 		}
 		pts[i] = sp
-		fmt.Fprintf(w, "%10s %12v %12d %17x | %10v %12.0f %10.2f %12.0f\n",
+		fmt.Fprintf(w, "%10s %12v %12d %17x | %10v %12.0f %10.2f %13.0f\n",
 			sp.Mode, sp.Elapsed, sp.KernelEvents, sp.Checksum,
-			sp.Wall.Round(time.Millisecond), sp.EventsPerSec, sp.AllocsPerEv, sp.BytesPerThread)
+			sp.Wall.Round(time.Millisecond), sp.EventsPerSec, sp.AllocsPerEv, sp.HeapBytesPerThread)
 	}
 	g, c := pts[0], pts[1]
 	if g.KernelEvents != c.KernelEvents || g.Checksum != c.Checksum || g.Elapsed != c.Elapsed {
 		fmt.Fprintf(w, "!! execution modes diverged: determinism contract broken\n")
 	} else if g.EventsPerSec > 0 {
-		fmt.Fprintf(w, "continuation speedup: %.2fx events/sec, %.2fx bytes/thread\n",
-			c.EventsPerSec/g.EventsPerSec, g.BytesPerThread/c.BytesPerThread)
+		fmt.Fprintf(w, "continuation speedup: %.2fx events/sec, %.2fx heap bytes/thread\n",
+			c.EventsPerSec/g.EventsPerSec, g.HeapBytesPerThread/c.HeapBytesPerThread)
 	}
 	return pts, nil
 }

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"xlupc/internal/core"
+	"xlupc/internal/fault"
+	"xlupc/internal/transport"
 )
 
 // smallBig scales the checked-in sweep point down to test size.
@@ -16,7 +18,8 @@ func smallBig() BigOpts {
 }
 
 // TestScaleWorkloadParity asserts the big-scale workload obeys the
-// dual-mode determinism contract at test scale.
+// dual-mode determinism contract at test scale, on a clean wire and
+// under packet loss with reliable delivery.
 func TestScaleWorkloadParity(t *testing.T) {
 	og := smallBig()
 	og.Exec = core.ExecGoroutine
@@ -44,6 +47,51 @@ func TestScaleWorkloadParity(t *testing.T) {
 	}
 	checkGolden(t, "scale-256-16", fingerprint{g.KernelEvents, g.Elapsed, g.Checksum})
 	checkGolden(t, "scale-256-16", fingerprint{c.KernelEvents, c.Elapsed, c.Checksum})
+
+	// Under loss the retransmit, ack and duplicate-suppression paths
+	// resume continuation threads too.
+	o := smallBig()
+	cache := core.DefaultCache()
+	cache.Capacity = o.Nodes
+	rel := transport.DefaultRelConfig()
+	cfg := core.Config{
+		Threads: o.Threads, Nodes: o.Nodes, Profile: o.Prof, Cache: cache, Seed: o.Seed,
+		Fault: &fault.Config{Drop: 0.01}, Rel: &rel,
+	}
+	for _, mode := range []core.ExecMode{core.ExecGoroutine, core.ExecCont} {
+		fp, st := runBigWith(t, cfg, mode, o)
+		if st.Retransmits == 0 {
+			t.Errorf("%s: no retransmits under 1%% loss: the recovery path was not exercised", execName(mode))
+		}
+		checkGolden(t, "scale-256-16-lossy", fp)
+	}
+}
+
+// runBigWith runs the big-scale workload on a runtime built from cfg in
+// the given execution mode.
+func runBigWith(t *testing.T, cfg core.Config, mode core.ExecMode, o BigOpts) (fingerprint, core.RunStats) {
+	t.Helper()
+	cfg.Exec = mode
+	rt, err := core.NewRuntime(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checks := make([]uint64, cfg.Threads)
+	var st core.RunStats
+	if mode == core.ExecCont {
+		st, err = rt.RunCont(func(th *core.Thread, done func()) {
+			bigBodyC(th, o, func(c uint64) {
+				checks[th.ID()] = c
+				done()
+			})
+		})
+	} else {
+		st, err = rt.Run(func(th *core.Thread) { checks[th.ID()] = bigBody(th, o) })
+	}
+	if err != nil {
+		t.Fatalf("%s run: %v", execName(mode), err)
+	}
+	return fingerprint{st.KernelEvents, st.Elapsed, bigChecksum(checks)}, st
 }
 
 // TestScalePrint exercises the two-mode comparison printer at test

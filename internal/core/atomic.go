@@ -115,24 +115,7 @@ func (t *Thread) atomicFetchBuf(op transport.AtomicOp) []byte {
 	return t.w64[:]
 }
 
-// --- Continuation-passing forms ----------------------------------------
-
-// FetchAddC is Thread.FetchAdd in continuation-passing style.
-func (t *Thread) FetchAddC(r Ref, delta uint64, then func(old uint64)) {
-	t.atomicRMWC(r, transport.AtomicFetchAdd, delta, 0, then)
-}
-
-// CompareSwapC is Thread.CompareSwap in continuation-passing style.
-func (t *Thread) CompareSwapC(r Ref, expect, swap uint64, then func(old uint64, swapped bool)) {
-	t.atomicRMWC(r, transport.AtomicCompareSwap, expect, swap, func(old uint64) {
-		then(old, old == expect)
-	})
-}
-
-// AccumulateC is Thread.Accumulate in continuation-passing style.
-func (t *Thread) AccumulateC(r Ref, delta uint64, then func()) {
-	t.atomicRMWC(r, transport.AtomicAccumulate, delta, 0, func(uint64) { then() })
-}
+// --- Continuation-passing driver ---------------------------------------
 
 // atomicRMWC is the remote-atomic driver: local fast path, cache-hit
 // NIC descriptor, NACK healing, AM fallback — the same protocol ladder
@@ -210,16 +193,6 @@ func (t *Thread) NbFetchAdd(r Ref, delta uint64, out *uint64) Handle {
 func (t *Thread) NbAccumulate(r Ref, delta uint64) Handle {
 	t.nbAtomicC(r, transport.AtomicAccumulate, delta, 0, nil, t.ops().hResFn)
 	return t.handleResult()
-}
-
-// NbFetchAddC is Thread.NbFetchAdd in continuation-passing style.
-func (t *Thread) NbFetchAddC(r Ref, delta uint64, out *uint64, then func(h Handle)) {
-	t.nbAtomicC(r, transport.AtomicFetchAdd, delta, 0, out, then)
-}
-
-// NbAccumulateC is Thread.NbAccumulate in continuation-passing style.
-func (t *Thread) NbAccumulateC(r Ref, delta uint64, then func(h Handle)) {
-	t.nbAtomicC(r, transport.AtomicAccumulate, delta, 0, nil, then)
 }
 
 func (t *Thread) nbAtomicC(r Ref, aop transport.AtomicOp, a1, a2 uint64, out *uint64, then func(h Handle)) {

@@ -116,21 +116,6 @@ func (t *Thread) localCBC(a *SharedArray, then func(cb *svd.ControlBlock)) {
 
 // --- Element accessors -------------------------------------------------
 
-// GetC is Thread.Get in continuation-passing style.
-func (t *Thread) GetC(r Ref, then func(data []byte)) {
-	dst := make([]byte, r.A.l.ElemSize)
-	t.GetBulkC(dst, r, func() { then(dst) })
-}
-
-// PutC is Thread.Put in continuation-passing style.
-func (t *Thread) PutC(r Ref, data []byte, then func()) {
-	if len(data) != r.A.l.ElemSize {
-		panic(fmt.Sprintf("core: Put of %d bytes into %s with element size %d",
-			len(data), r.A.name, r.A.l.ElemSize))
-	}
-	t.PutBulkC(r, data, then)
-}
-
 // GetUint64C is Thread.GetUint64 in continuation-passing style. The
 // value callback parks in the thread's pre-bound op state, so the
 // pointer-chase hot path builds no wrapper closure per element.

@@ -268,7 +268,7 @@ func coalGUPS(t *testing.T, exec ExecMode) (RunStats, uint64) {
 					if k < updates {
 						r := a.At(target(th.ID(), k))
 						k++
-						th.NbAccumulateC(r, 1, func(Handle) {
+						th.nbAtomicC(r, transport.AtomicAccumulate, 1, 0, nil, func(Handle) {
 							if k%batch == 0 {
 								th.SyncAllC(next)
 								return

@@ -240,6 +240,3 @@ func (t *Thread) NodeLocal(key string, build func(k *sim.Kernel) any) any {
 
 // Acquire takes r on the thread (goroutine mode).
 func (t *Thread) Acquire(r *sim.Resource) { r.Acquire(t.p) }
-
-// AcquireC is Acquire in continuation-passing style.
-func (t *Thread) AcquireC(r *sim.Resource, then func()) { r.AcquireCont(t.c, then) }

@@ -220,16 +220,6 @@ func New(t *core.Thread, o Options) *Table {
 	return &Table{a: a, g: g, opts: o}
 }
 
-// NewC is New in continuation-passing style for ExecCont bodies.
-func NewC(t *core.Thread, o Options, then func(*Table)) {
-	g := normalize(&o, t.Threads())
-	if t.ID() == 0 {
-		registerHandlers(t.Runtime(), g)
-	}
-	t.AllAllocKindC(svd.KindKV, o.Name, int64(g.threads)*g.shardWords(), 8, g.shardWords(),
-		func(a *core.SharedArray) { then(&Table{a: a, g: g, opts: o}) })
-}
-
 // Array exposes the underlying shared segment (tests, diagnostics).
 func (tb *Table) Array() *core.SharedArray { return tb.a }
 
@@ -298,61 +288,6 @@ func (tb *Table) Get(t *core.Thread, key uint64) (uint64, bool) {
 	return 0, false
 }
 
-// GetC mirrors Get step for step in continuation-passing style.
-func (tb *Table) GetC(t *core.Thread, key uint64, then func(val uint64, ok bool)) {
-	tb.Stats.Gets++
-	g := tb.g
-	shard := g.shardOf(key)
-	home := tb.a.Layout().NodeOf(g.lineIdx(shard, 0))
-	local := home == t.Node()
-	if local {
-		tb.Stats.LocalOps++
-	} else {
-		tb.Stats.RemoteOps++
-	}
-	if !local && tb.opts.ReadViaAM {
-		tb.amGetC(t, home, key, then)
-		return
-	}
-	b0 := g.bucketOf(key)
-	var w int64
-	var probe, check func()
-	probe = func() {
-		if w >= probeWindow {
-			tb.Stats.Misses++
-			then(0, false)
-			return
-		}
-		t.GetBulkC(tb.line[:], tb.a.At(g.lineIdx(shard, (b0+w)%g.buckets)), check)
-	}
-	check = func() {
-		if binary.LittleEndian.Uint64(tb.line[:8])&1 == 1 {
-			if !local {
-				tb.Stats.TornRetries++
-				tb.amGetC(t, home, key, then)
-				return
-			}
-			tb.Stats.TornRereads++
-			t.SleepC(rereadBackoff, func() {
-				t.GetBulkC(tb.line[:], tb.a.At(g.lineIdx(shard, (b0+w)%g.buckets)), check)
-			})
-			return
-		}
-		if v, ok, stop := scanLine(tb.line[:], key); stop {
-			if ok {
-				tb.Stats.Found++
-			} else {
-				tb.Stats.Misses++
-			}
-			then(v, ok)
-			return
-		}
-		w++
-		probe()
-	}
-	probe()
-}
-
 // scanLine inspects a consistent bucket line for key: (value, found,
 // stop). stop is false only when the line is full of other live keys
 // or tombstones, i.e. probing must continue.
@@ -383,19 +318,6 @@ func (tb *Table) amGet(t *core.Thread, home int, key uint64) (uint64, bool) {
 	return binary.LittleEndian.Uint64(tb.rep[:]), true
 }
 
-func (tb *Table) amGetC(t *core.Thread, home int, key uint64, then func(uint64, bool)) {
-	tb.Stats.AMLookups++
-	t.CallAMC(tb.a, home, hLookup, key, 0, lookupWireBytes, tb.rep[:], "kv_lookup", func(n int) {
-		if n == 0 {
-			tb.Stats.Misses++
-			then(0, false)
-			return
-		}
-		tb.Stats.Found++
-		then(binary.LittleEndian.Uint64(tb.rep[:]), true)
-	})
-}
-
 // --- Write path ---------------------------------------------------------
 
 // Put installs (key, val), updating in place when the key exists. It
@@ -421,29 +343,6 @@ func (tb *Table) Put(t *core.Thread, key, val uint64) bool {
 	return true
 }
 
-// PutC mirrors Put.
-func (tb *Table) PutC(t *core.Thread, key, val uint64, then func(ok bool)) {
-	checkKey(key)
-	tb.Stats.Puts++
-	if tb.HomeNode(key) == t.Node() {
-		tb.Stats.LocalOps++
-		tb.directPutC(t, key, val, then)
-		return
-	}
-	tb.Stats.RemoteOps++
-	t.CallAMC(tb.a, tb.HomeNode(key), hPut, key, val, putWireBytes, tb.rep[:], "kv_put", func(n int) {
-		if n != 1 {
-			panic(fmt.Sprintf("kv: put reply of %d bytes", n))
-		}
-		if tb.rep[0] != statusOK {
-			tb.Stats.Overflows++
-			then(false)
-			return
-		}
-		then(true)
-	})
-}
-
 // Delete removes key, reporting whether it was present.
 func (tb *Table) Delete(t *core.Thread, key uint64) bool {
 	checkKey(key)
@@ -458,24 +357,6 @@ func (tb *Table) Delete(t *core.Thread, key uint64) bool {
 		panic(fmt.Sprintf("kv: delete reply of %d bytes", n))
 	}
 	return tb.rep[0] == statusOK
-}
-
-// DeleteC mirrors Delete.
-func (tb *Table) DeleteC(t *core.Thread, key uint64, then func(ok bool)) {
-	checkKey(key)
-	tb.Stats.Deletes++
-	if tb.HomeNode(key) == t.Node() {
-		tb.Stats.LocalOps++
-		tb.directDeleteC(t, key, then)
-		return
-	}
-	tb.Stats.RemoteOps++
-	t.CallAMC(tb.a, tb.HomeNode(key), hDelete, key, 0, deleteWireBytes, tb.rep[:], "kv_delete", func(n int) {
-		if n != 1 {
-			panic(fmt.Sprintf("kv: delete reply of %d bytes", n))
-		}
-		then(tb.rep[0] == statusOK)
-	})
 }
 
 func checkKey(key uint64) {
@@ -501,40 +382,6 @@ func (tb *Table) scan(t *core.Thread, key uint64) (hit, free slotRef, hitOK, fre
 		}
 	}
 	return
-}
-
-// scanC mirrors scan.
-func (tb *Table) scanC(t *core.Thread, key uint64, then func(hit, free slotRef, hitOK, freeOK bool)) {
-	g := tb.g
-	shard := g.shardOf(key)
-	b0 := g.bucketOf(key)
-	var free slotRef
-	freeOK := false
-	var w int64
-	var step func()
-	step = func() {
-		if w >= probeWindow {
-			then(slotRef{}, free, false, freeOK)
-			return
-		}
-		idx := g.lineIdx(shard, (b0+w)%g.buckets)
-		t.GetBulkC(tb.line[:], tb.a.At(idx), func() {
-			var hit slotRef
-			var hitOK bool
-			hit, free, hitOK, freeOK = scanLineWrite(tb.line[:], key, idx, free, freeOK)
-			if hitOK {
-				then(hit, free, true, freeOK)
-				return
-			}
-			if stopAtEmpty(tb.line[:]) {
-				then(slotRef{}, free, false, freeOK)
-				return
-			}
-			w++
-			step()
-		})
-	}
-	step()
 }
 
 // scanLineWrite is the write-path per-line scan: find key, and track
@@ -584,23 +431,6 @@ func (tb *Table) writeSlot(t *core.Thread, tgt slotRef, key, val uint64) {
 	t.PutUint64(at, seq+2)
 }
 
-// writeSlotC mirrors writeSlot.
-func (tb *Table) writeSlotC(t *core.Thread, tgt slotRef, key, val uint64, then func()) {
-	at := tb.a.At(tgt.line)
-	t.GetBulkC(tb.w[:8], at, func() {
-		seq := binary.LittleEndian.Uint64(tb.w[:8])
-		t.PutUint64C(at, seq+1, func() {
-			t.SleepC(tb.g.window, func() {
-				binary.LittleEndian.PutUint64(tb.w[0:8], key)
-				binary.LittleEndian.PutUint64(tb.w[8:16], val)
-				t.PutBulkC(tb.a.At(tgt.line+int64(1+2*tgt.slot)), tb.w[:16], func() {
-					t.PutUint64C(at, seq+2, then)
-				})
-			})
-		})
-	})
-}
-
 // deleteSlot tombstones tgt's key word under the seqlock protocol.
 func (tb *Table) deleteSlot(t *core.Thread, tgt slotRef) {
 	at := tb.a.At(tgt.line)
@@ -610,21 +440,6 @@ func (tb *Table) deleteSlot(t *core.Thread, tgt slotRef) {
 	t.Sleep(tb.g.window)
 	t.PutUint64(tb.a.At(tgt.line+int64(1+2*tgt.slot)), tombstone)
 	t.PutUint64(at, seq+2)
-}
-
-// deleteSlotC mirrors deleteSlot.
-func (tb *Table) deleteSlotC(t *core.Thread, tgt slotRef, then func()) {
-	at := tb.a.At(tgt.line)
-	t.GetBulkC(tb.w[:8], at, func() {
-		seq := binary.LittleEndian.Uint64(tb.w[:8])
-		t.PutUint64C(at, seq+1, func() {
-			t.SleepC(tb.g.window, func() {
-				t.PutUint64C(tb.a.At(tgt.line+int64(1+2*tgt.slot)), tombstone, func() {
-					t.PutUint64C(at, seq+2, then)
-				})
-			})
-		})
-	})
 }
 
 func (tb *Table) directPut(t *core.Thread, key, val uint64) bool {
@@ -645,28 +460,6 @@ func (tb *Table) directPut(t *core.Thread, key, val uint64) bool {
 	return true
 }
 
-func (tb *Table) directPutC(t *core.Thread, key, val uint64, then func(ok bool)) {
-	lock := tb.lock(t)
-	t.AcquireC(lock, func() {
-		tb.scanC(t, key, func(hit, free slotRef, hitOK, freeOK bool) {
-			tgt := hit
-			if !hitOK {
-				if !freeOK {
-					lock.Release()
-					tb.Stats.Overflows++
-					then(false)
-					return
-				}
-				tgt = free
-			}
-			tb.writeSlotC(t, tgt, key, val, func() {
-				lock.Release()
-				then(true)
-			})
-		})
-	})
-}
-
 func (tb *Table) directDelete(t *core.Thread, key uint64) bool {
 	lock := tb.lock(t)
 	t.Acquire(lock)
@@ -678,23 +471,6 @@ func (tb *Table) directDelete(t *core.Thread, key uint64) bool {
 	tb.deleteSlot(t, hit)
 	lock.Release()
 	return true
-}
-
-func (tb *Table) directDeleteC(t *core.Thread, key uint64, then func(ok bool)) {
-	lock := tb.lock(t)
-	t.AcquireC(lock, func() {
-		tb.scanC(t, key, func(hit, _ slotRef, hitOK, _ bool) {
-			if !hitOK {
-				lock.Release()
-				then(false)
-				return
-			}
-			tb.deleteSlotC(t, hit, func() {
-				lock.Release()
-				then(true)
-			})
-		})
-	})
 }
 
 // --- Increment path (remote atomics) -------------------------------------
@@ -734,25 +510,6 @@ func (tb *Table) Incr(t *core.Thread, key, delta uint64) (uint64, bool) {
 	return t.FetchAdd(tb.a.At(valueIdx(ref)), delta), true
 }
 
-// IncrC mirrors Incr.
-func (tb *Table) IncrC(t *core.Thread, key, delta uint64, then func(old uint64, ok bool)) {
-	checkKey(key)
-	tb.Stats.Incrs++
-	if tb.HomeNode(key) == t.Node() {
-		tb.Stats.LocalOps++
-	} else {
-		tb.Stats.RemoteOps++
-	}
-	tb.locateC(t, key, func(ref slotRef, ok bool) {
-		if !ok {
-			tb.Stats.Misses++
-			then(0, false)
-			return
-		}
-		t.FetchAddC(tb.a.At(valueIdx(ref)), delta, func(old uint64) { then(old, true) })
-	})
-}
-
 // locate resolves key to its slot with consistent line reads and
 // memoizes the result. A torn line re-reads after a backoff (writer
 // windows are finite, so this converges) — locate has no slot-level
@@ -779,45 +536,6 @@ func (tb *Table) locate(t *core.Thread, key uint64) (slotRef, bool) {
 		}
 	}
 	return slotRef{}, false
-}
-
-// locateC mirrors locate.
-func (tb *Table) locateC(t *core.Thread, key uint64, then func(slotRef, bool)) {
-	if ref, ok := tb.loc[key]; ok {
-		then(ref, true)
-		return
-	}
-	g := tb.g
-	shard := g.shardOf(key)
-	b0 := g.bucketOf(key)
-	var w int64
-	var probe, check func()
-	probe = func() {
-		if w >= probeWindow {
-			then(slotRef{}, false)
-			return
-		}
-		t.GetBulkC(tb.line[:], tb.a.At(g.lineIdx(shard, (b0+w)%g.buckets)), check)
-	}
-	check = func() {
-		idx := g.lineIdx(shard, (b0+w)%g.buckets)
-		if binary.LittleEndian.Uint64(tb.line[:8])&1 == 1 {
-			t.SleepC(rereadBackoff, func() {
-				t.GetBulkC(tb.line[:], tb.a.At(idx), check)
-			})
-			return
-		}
-		if ref, ok, stop := locateLine(tb.line[:], key, idx); stop {
-			if ok {
-				tb.memoize(key, ref)
-			}
-			then(ref, ok)
-			return
-		}
-		w++
-		probe()
-	}
-	probe()
 }
 
 // locateLine scans a consistent line for key's slot: (ref, found,

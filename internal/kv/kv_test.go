@@ -18,8 +18,8 @@ func testWorkload() Workload {
 	return Workload{Ops: 120, NumKeys: testKeys, Theta: 0.9, ReadFrac: 0.9, Rate: 100000}
 }
 
-func testConfig(exec core.ExecMode, cc core.CacheConfig) core.Config {
-	return core.Config{Threads: 8, Nodes: 4, Profile: transport.GM(), Cache: cc, Seed: 42, Exec: exec}
+func testConfig(cc core.CacheConfig) core.Config {
+	return core.Config{Threads: 8, Nodes: 4, Profile: transport.GM(), Cache: cc, Seed: 42}
 }
 
 func mustZipf(t *testing.T, n int64, theta float64) *Zipf {
@@ -52,39 +52,13 @@ func runGoroutine(t *testing.T, cfg core.Config, o Options, w Workload) (core.Ru
 	return st, Merge(results)
 }
 
-// runCont is runGoroutine under ExecCont.
-func runCont(t *testing.T, cfg core.Config, o Options, w Workload) (core.RunStats, ThreadResult) {
-	t.Helper()
-	cfg.Exec = core.ExecCont
-	rt, err := core.NewRuntime(cfg)
-	if err != nil {
-		t.Fatalf("NewRuntime: %v", err)
-	}
-	z := mustZipf(t, w.NumKeys, w.Theta)
-	results := make([]ThreadResult, cfg.Threads)
-	st, err := rt.RunCont(func(th *core.Thread, done func()) {
-		NewC(th, o, func(tb *Table) {
-			PreloadC(th, tb, w.NumKeys, func(int64) {
-				RunLoadC(th, tb, w, z, func(r ThreadResult) {
-					results[th.ID()] = r
-					done()
-				})
-			})
-		})
-	})
-	if err != nil {
-		t.Fatalf("RunCont: %v", err)
-	}
-	return st, Merge(results)
-}
-
 // TestKVDeterminism: the same seed must give bit-identical results
-// across repeat runs, host GOMAXPROCS, and both execution modes.
+// across repeat runs and host GOMAXPROCS.
 func TestKVDeterminism(t *testing.T) {
 	o := Options{Name: "kv", NumKeys: testKeys}
 	w := testWorkload()
-	st1, m1 := runGoroutine(t, testConfig(core.ExecGoroutine, core.DefaultCache()), o, w)
-	st2, m2 := runGoroutine(t, testConfig(core.ExecGoroutine, core.DefaultCache()), o, w)
+	st1, m1 := runGoroutine(t, testConfig(core.DefaultCache()), o, w)
+	st2, m2 := runGoroutine(t, testConfig(core.DefaultCache()), o, w)
 	if m1.Checksum != m2.Checksum {
 		t.Fatalf("repeat run checksum diverged: %#x vs %#x", m1.Checksum, m2.Checksum)
 	}
@@ -93,23 +67,13 @@ func TestKVDeterminism(t *testing.T) {
 	}
 
 	prev := runtime.GOMAXPROCS(1)
-	st3, m3 := runGoroutine(t, testConfig(core.ExecGoroutine, core.DefaultCache()), o, w)
+	st3, m3 := runGoroutine(t, testConfig(core.DefaultCache()), o, w)
 	runtime.GOMAXPROCS(prev)
 	if m3.Checksum != m1.Checksum || !reflect.DeepEqual(st3, st1) {
 		t.Fatalf("GOMAXPROCS=1 run diverged: %#x vs %#x", m3.Checksum, m1.Checksum)
 	}
 
-	stc, mc := runCont(t, testConfig(core.ExecGoroutine, core.DefaultCache()), o, w)
-	if mc.Checksum != m1.Checksum {
-		t.Fatalf("exec-mode checksum diverged: goroutine %#x vs cont %#x", m1.Checksum, mc.Checksum)
-	}
-	if !reflect.DeepEqual(stc, st1) {
-		t.Fatalf("exec-mode stats diverged:\ngoroutine %+v\ncont      %+v", st1, stc)
-	}
-	if !reflect.DeepEqual(mc, m1) {
-		t.Fatalf("exec-mode merged results diverged:\ngoroutine %+v\ncont      %+v", m1, mc)
-	}
-	if m1.Ops != int64(testConfig(core.ExecGoroutine, core.DefaultCache()).Threads)*w.Ops {
+	if m1.Ops != int64(testConfig(core.DefaultCache()).Threads)*w.Ops {
 		t.Fatalf("op count %d, want %d", m1.Ops, 8*w.Ops)
 	}
 }
@@ -120,7 +84,7 @@ func TestKVDeterminism(t *testing.T) {
 // CI. Regenerate deliberately by updating the constant.
 func TestKVGoldenChecksum(t *testing.T) {
 	const golden = uint64(0x9a6a08d8cfc4d696)
-	_, m := runGoroutine(t, testConfig(core.ExecGoroutine, core.DefaultCache()), Options{Name: "kv", NumKeys: testKeys}, testWorkload())
+	_, m := runGoroutine(t, testConfig(core.DefaultCache()), Options{Name: "kv", NumKeys: testKeys}, testWorkload())
 	if m.Checksum != golden {
 		t.Fatalf("golden checksum diverged: got %#x, want %#x", m.Checksum, golden)
 	}
@@ -132,10 +96,10 @@ func TestCachedBeatsAMOnly(t *testing.T) {
 	o := Options{Name: "kv", NumKeys: testKeys}
 	w := testWorkload()
 	w.Rate = 0 // closed loop: elapsed time is pure op latency
-	_, cached := runGoroutine(t, testConfig(core.ExecGoroutine, core.DefaultCache()), o, w)
+	_, cached := runGoroutine(t, testConfig(core.DefaultCache()), o, w)
 	amOnly := o
 	amOnly.ReadViaAM = true
-	_, am := runGoroutine(t, testConfig(core.ExecGoroutine, core.NoCache()), amOnly, w)
+	_, am := runGoroutine(t, testConfig(core.NoCache()), amOnly, w)
 	if cached.Ops != am.Ops {
 		t.Fatalf("op counts diverged: %d vs %d", cached.Ops, am.Ops)
 	}
@@ -462,102 +426,50 @@ func TestPreloadContents(t *testing.T) {
 
 // TestIncr: the FetchAdd-backed increment path returns exact pre-add
 // values, concurrent increments from every thread never lose an
-// update, absent keys report false, and both execution modes agree.
+// update, and absent keys report false.
 func TestIncr(t *testing.T) {
 	const numKeys = 64
 	const key, absent, perThread = uint64(7), uint64(numKeys + 100), int64(25)
-	run := func(exec core.ExecMode) (final uint64, incrs, misses int64) {
-		cfg := testConfig(exec, core.DefaultCache())
-		rt, err := core.NewRuntime(cfg)
-		if err != nil {
-			t.Fatalf("NewRuntime: %v", err)
-		}
-		if exec == core.ExecCont {
-			_, err = rt.RunCont(func(th *core.Thread, done func()) {
-				NewC(th, Options{Name: "incr", NumKeys: numKeys}, func(tb *Table) {
-					PreloadC(th, tb, numKeys, func(int64) {
-						var i int64
-						var step func()
-						step = func() {
-							if i < perThread {
-								i++
-								tb.IncrC(th, key, 2, func(_ uint64, ok bool) {
-									if !ok {
-										panic("Incr missed a preloaded key")
-									}
-									step()
-								})
-								return
-							}
-							th.BarrierC(func() {
-								verify := func() {
-									tb.IncrC(th, absent, 1, func(_ uint64, ok bool) {
-										if ok {
-											panic("Incr of absent key reported present")
-										}
-										misses = tb.Stats.Misses
-										th.BarrierC(done)
-									})
-								}
-								if th.ID() != tb.ShardOf(key) {
-									verify()
-									return
-								}
-								tb.GetC(th, key, func(v uint64, ok bool) {
-									if !ok {
-										panic("incremented key vanished")
-									}
-									final = v
-									incrs = tb.Stats.Incrs
-									verify()
-								})
-							})
-						}
-						step()
-					})
-				})
-			})
-		} else {
-			_, err = rt.Run(func(th *core.Thread) {
-				tb := New(th, Options{Name: "incr", NumKeys: numKeys})
-				Preload(th, tb, numKeys)
-				for i := int64(0); i < perThread; i++ {
-					if _, ok := tb.Incr(th, key, 2); !ok {
-						panic("Incr missed a preloaded key")
-					}
-				}
-				th.Barrier()
-				if th.ID() == tb.ShardOf(key) {
-					v, ok := tb.Get(th, key)
-					if !ok {
-						panic("incremented key vanished")
-					}
-					final = v
-					incrs = tb.Stats.Incrs
-				}
-				if _, ok := tb.Incr(th, absent, 1); ok {
-					panic("Incr of absent key reported present")
-				}
-				misses = tb.Stats.Misses
-				th.Barrier()
-			})
-		}
-		if err != nil {
-			t.Fatalf("run: %v", err)
-		}
-		return
+	var final uint64
+	var incrs, misses int64
+	cfg := testConfig(core.DefaultCache())
+	rt, err := core.NewRuntime(cfg)
+	if err != nil {
+		t.Fatalf("NewRuntime: %v", err)
 	}
-	want := encodeValue(key, 0) + uint64(8*perThread)*2
-	for _, exec := range []core.ExecMode{core.ExecGoroutine, core.ExecCont} {
-		final, incrs, misses := run(exec)
-		if final != want {
-			t.Fatalf("exec %v: final value %#x, want %#x (lost updates?)", exec, final, want)
+	_, err = rt.Run(func(th *core.Thread) {
+		tb := New(th, Options{Name: "incr", NumKeys: numKeys})
+		Preload(th, tb, numKeys)
+		for i := int64(0); i < perThread; i++ {
+			if _, ok := tb.Incr(th, key, 2); !ok {
+				panic("Incr missed a preloaded key")
+			}
 		}
-		if incrs != perThread {
-			t.Fatalf("exec %v: owner thread counted %d incrs, want %d", exec, incrs, perThread)
+		th.Barrier()
+		if th.ID() == tb.ShardOf(key) {
+			v, ok := tb.Get(th, key)
+			if !ok {
+				panic("incremented key vanished")
+			}
+			final = v
+			incrs = tb.Stats.Incrs
 		}
-		if misses == 0 {
-			t.Fatalf("exec %v: absent-key Incr did not count a miss", exec)
+		if _, ok := tb.Incr(th, absent, 1); ok {
+			panic("Incr of absent key reported present")
 		}
+		misses = tb.Stats.Misses
+		th.Barrier()
+	})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if want := encodeValue(key, 0) + uint64(8*perThread)*2; final != want {
+		t.Fatalf("final value %#x, want %#x (lost updates?)", final, want)
+	}
+	if incrs != perThread {
+		t.Fatalf("owner thread counted %d incrs, want %d", incrs, perThread)
+	}
+	if misses == 0 {
+		t.Fatal("absent-key Incr did not count a miss")
 	}
 }

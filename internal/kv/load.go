@@ -7,8 +7,8 @@ package kv
 // convention. Key popularity is scrambled-Zipfian, the read/write mix
 // a Bernoulli draw, and every random decision comes from the thread's
 // deterministic source in a fixed order (key first, then op kind), so
-// a run is bit-reproducible for a config seed across repeats, host
-// parallelism and both execution modes.
+// a run is bit-reproducible for a config seed across repeats and host
+// parallelism.
 
 import (
 	"fmt"
@@ -213,28 +213,6 @@ func Preload(t *core.Thread, tb *Table, numKeys int64) int64 {
 	return n
 }
 
-// PreloadC mirrors Preload.
-func PreloadC(t *core.Thread, tb *Table, numKeys int64, then func(n int64)) {
-	mine := preloadPartition(t, tb, numKeys)[t.ID()]
-	var n int64
-	var step func()
-	step = func() {
-		if n >= int64(len(mine)) {
-			t.BarrierC(func() { then(n) })
-			return
-		}
-		k := mine[n]
-		tb.PutC(t, k, encodeValue(k, 0), func(ok bool) {
-			if !ok {
-				panic(fmt.Sprintf("kv: preload overflow inserting key %d — grow BucketsPerShard", k))
-			}
-			n++
-			step()
-		})
-	}
-	step()
-}
-
 // fnv1a constants (64-bit).
 const (
 	fnvOffset = 14695981039346656037
@@ -293,67 +271,6 @@ func RunLoad(t *core.Thread, tb *Table, w Workload, z *Zipf) ThreadResult {
 	}
 	res.Checksum = h
 	return res
-}
-
-// RunLoadC mirrors RunLoad step for step (same draw order, same
-// accounting) in continuation-passing style.
-func RunLoadC(t *core.Thread, tb *Table, w Workload, z *Zipf, then func(ThreadResult)) {
-	if err := w.Validate(); err != nil {
-		panic(err)
-	}
-	rng := t.Rand()
-	tel := t.Runtime().Config().Telemetry
-	interval, slo := w.interval(), w.slo()
-	start := t.Now()
-	res := &ThreadResult{Thread: t.ID()}
-	h := uint64(fnvOffset)
-	var i int64
-	var iter func()
-	iter = func() {
-		if i >= w.Ops {
-			res.Checksum = h
-			then(*res)
-			return
-		}
-		issue := t.Now()
-		dispatch := func() {
-			key := ScrambleKey(z.Next(rng), w.NumKeys)
-			read := rng.Float64() < w.ReadFrac
-			if read {
-				tb.GetC(t, key, func(val uint64, ok bool) {
-					if ok {
-						checkValue(key, val)
-					}
-					res.Reads++
-					if ok {
-						res.Found++
-					}
-					lat := t.Now() - issue
-					h = accountOp(res, tel, true, key, val, ok, lat, slo, h)
-					i++
-					iter()
-				})
-				return
-			}
-			val := encodeValue(key, uint32(i))
-			tb.PutC(t, key, val, func(ok bool) {
-				res.Writes++
-				lat := t.Now() - issue
-				h = accountOp(res, tel, false, key, val, ok, lat, slo, h)
-				i++
-				iter()
-			})
-		}
-		if interval > 0 {
-			issue = start + sim.Time(i)*interval
-			if now := t.Now(); now < issue {
-				t.SleepC(issue-now, dispatch)
-				return
-			}
-		}
-		dispatch()
-	}
-	iter()
 }
 
 // accountOp folds one completed op into the result and the digest.

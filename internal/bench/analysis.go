@@ -5,9 +5,8 @@ import (
 	"io"
 
 	"xlupc/internal/core"
-	"xlupc/internal/dis"
 	"xlupc/internal/svd"
-	"xlupc/internal/trace"
+	"xlupc/internal/telemetry"
 	"xlupc/internal/transport"
 )
 
@@ -35,39 +34,26 @@ func PrintFootprint(w io.Writer) {
 // form: the share of time the Field stressmark's threads spend blocked
 // in remote GETs on GM, with and without the address cache.
 func PrintFieldTrace(w io.Writer, seed int64) {
-	run := func(cc core.CacheConfig) *trace.Trace {
-		tr := trace.New()
-		rt, err := core.NewRuntime(core.Config{
-			Threads: 16, Nodes: 4, Profile: transport.GM(), Cache: cc, Seed: seed, Trace: tr,
-		})
+	for _, cached := range []bool{false, true} {
+		cc, label := core.NoCache(), "without cache"
+		if cached {
+			cc, label = core.DefaultCache(), "with cache"
+		}
+		tel, _, err := PhaseRun("field", transport.GM(), Scale{Threads: 16, Nodes: 4}, cc, seed)
 		if err != nil {
 			panic(err)
 		}
-		p := dis.Default(16)
-		if _, err := rt.Run(func(t *core.Thread) { dis.Field(t, p) }); err != nil {
-			panic(err)
-		}
-		return tr
-	}
-	for _, cached := range []bool{false, true} {
-		cc := core.NoCache()
-		label := "without cache"
-		if cached {
-			cc = core.DefaultCache()
-			label = "with cache"
-		}
-		tr := run(cc)
-		total := tr.TotalByState()
+		total := tel.TotalByState()
 		var sum int64
 		for _, v := range total {
 			sum += int64(v)
 		}
-		gw := total[trace.StateGetWait]
+		gw := total[telemetry.StateGetWait]
 		pct := 0.0
 		if sum > 0 {
 			pct = 100 * float64(gw) / float64(sum)
 		}
 		fmt.Fprintf(w, "%-14s GET-wait %v (%.1f%% of traced time), longest single wait %v\n",
-			label, gw, pct, tr.MaxInterval(trace.StateGetWait).Dur())
+			label, gw, pct, tel.MaxInterval(telemetry.StateGetWait).Dur())
 	}
 }

@@ -15,18 +15,16 @@ import (
 	"testing"
 
 	"xlupc/internal/core"
-	"xlupc/internal/dis"
 	"xlupc/internal/sim"
-	"xlupc/internal/trace"
+	"xlupc/internal/telemetry"
 	"xlupc/internal/transport"
 )
 
-// paraverRun runs body under a fresh runtime with the state recorder
-// attached.
-func paraverRun(t *testing.T, c core.Config, body func(th *core.Thread)) *trace.Trace {
+// paraverRun runs body under a fresh runtime with telemetry attached.
+func paraverRun(t *testing.T, c core.Config, body func(th *core.Thread)) *telemetry.Telemetry {
 	t.Helper()
-	tr := trace.New()
-	c.Trace = tr
+	tel := telemetry.New()
+	c.Telemetry = tel
 	rt, err := core.NewRuntime(c)
 	if err != nil {
 		t.Fatal(err)
@@ -34,21 +32,31 @@ func paraverRun(t *testing.T, c core.Config, body func(th *core.Thread)) *trace.
 	if _, err := rt.Run(body); err != nil {
 		t.Fatal(err)
 	}
-	return tr
+	return tel
 }
 
-// paraverPrint is the fingerprint of one run's state view.
-func paraverPrint(t *testing.T, tr *trace.Trace) fingerprint {
+// paraverPrint is the fingerprint of one run's state view. It also
+// checks that a thread is in one state at a time: the intervals of one
+// thread never overlap.
+func paraverPrint(t *testing.T, tel *telemetry.Telemetry) fingerprint {
 	t.Helper()
+	last := map[int]telemetry.Interval{}
+	for _, iv := range tel.Intervals() { // finish order: per thread, also start order
+		if prev, ok := last[iv.Thread]; ok && iv.Start < prev.End {
+			t.Fatalf("thread %d: %v interval %v..%v overlaps %v ending %v",
+				iv.Thread, iv.State, iv.Start, iv.End, prev.State, prev.End)
+		}
+		last[iv.Thread] = iv
+	}
 	var b bytes.Buffer
-	if err := tr.WritePRV(&b); err != nil {
+	if err := tel.WritePRV(&b); err != nil {
 		t.Fatal(err)
 	}
 	records := int64(bytes.Count(b.Bytes(), []byte("\n")))
-	for _, p := range tr.Profiles() {
+	for _, p := range tel.Profiles() {
 		fmt.Fprintf(&b, "%s %d\n", p.State, int64(p.Total))
 	}
-	worst := tr.MaxInterval(trace.StateGetWait)
+	worst := tel.MaxInterval(telemetry.StateGetWait)
 	fmt.Fprintf(&b, "get-wait max thread %d %d..%d\n", worst.Thread, int64(worst.Start), int64(worst.End))
 	h := fnv.New64a()
 	h.Write(b.Bytes())
@@ -97,35 +105,31 @@ func TestParaverGolden(t *testing.T) {
 	const threads, nodes = 16, 4
 	for _, prof := range []*transport.Profile{transport.GM(), transport.LAPI()} {
 		for _, mark := range []string{"pointer", "update", "neighborhood", "field"} {
-			fn, err := dis.ByName(mark)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p := dis.Default(threads)
 			for _, cached := range []bool{false, true} {
 				cc, label := core.NoCache(), "uncached"
 				if cached {
 					cc, label = core.DefaultCache(), "cached"
 				}
-				tr := paraverRun(t, core.Config{
-					Threads: threads, Nodes: nodes, Profile: prof, Cache: cc, Seed: 1,
-				}, func(th *core.Thread) { fn(th, p) })
-				checkGolden(t, fmt.Sprintf("paraver/%s/%s/%s", prof.Name, mark, label), paraverPrint(t, tr))
+				tel, _, err := PhaseRun(mark, prof, Scale{Threads: threads, Nodes: nodes}, cc, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkGolden(t, fmt.Sprintf("paraver/%s/%s/%s", prof.Name, mark, label), paraverPrint(t, tel))
 			}
 		}
 	}
 
 	for _, prof := range []*transport.Profile{transport.GM(), transport.LAPI()} {
-		tr := paraverRun(t, core.Config{
+		tel := paraverRun(t, core.Config{
 			Threads: 8, Nodes: 4, Profile: prof, Cache: core.DefaultCache(), Seed: 1,
 		}, paraverMixedBody)
-		totals := tr.TotalByState()
-		for _, s := range []trace.State{trace.StateCompute, trace.StateGetWait, trace.StatePut,
-			trace.StateFenceWait, trace.StateBarrier, trace.StateLockWait} {
+		totals := tel.TotalByState()
+		for _, s := range []telemetry.State{telemetry.StateCompute, telemetry.StateGetWait, telemetry.StatePut,
+			telemetry.StateFenceWait, telemetry.StateBarrier, telemetry.StateLockWait} {
 			if totals[s] <= 0 {
 				t.Errorf("mixed/%s: no %s time recorded", prof.Name, s)
 			}
 		}
-		checkGolden(t, "paraver/mixed/"+prof.Name, paraverPrint(t, tr))
+		checkGolden(t, "paraver/mixed/"+prof.Name, paraverPrint(t, tel))
 	}
 }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"xlupc/internal/sim"
-	"xlupc/internal/trace"
+	"xlupc/internal/telemetry"
 	"xlupc/internal/transport"
 )
 
@@ -111,7 +111,7 @@ func (o *contOps) barrierStep() {
 	switch o.bstep {
 	case bsFenced:
 		o.span = t.rt.tel.StartSpan("barrier", t.id, t.ns.id, t.Now())
-		t.rt.cfg.Trace.Begin(t.id, trace.StateBarrier, t.Now())
+		o.span.SetState(telemetry.StateBarrier)
 		o.bstep = bsArrived
 		t.c.Sleep(localBarrierCost, o.bFn)
 	case bsArrived:
@@ -141,7 +141,6 @@ func (o *contOps) barrierStep() {
 		o.bstep = bsDone
 		o.barrierStep()
 	case bsDone:
-		t.rt.cfg.Trace.End(t.id, t.Now())
 		o.span.Finish(t.Now())
 		then := o.bthen
 		o.span, o.bthen = nil, nil

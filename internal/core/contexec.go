@@ -15,7 +15,6 @@ import (
 	"xlupc/internal/sim"
 	"xlupc/internal/svd"
 	"xlupc/internal/telemetry"
-	"xlupc/internal/trace"
 	"xlupc/internal/transport"
 )
 
@@ -64,8 +63,9 @@ func (t *Thread) ComputeC(d sim.Duration, then func()) {
 		then()
 		return
 	}
-	t.rt.cfg.Trace.Begin(t.id, trace.StateCompute, t.Now())
 	o := t.ops()
+	o.span = t.rt.tel.StartSpan("compute", t.id, t.ns.id, t.Now())
+	o.span.SetState(telemetry.StateCompute)
 	o.cd, o.cthen = d, then
 	t.ns.tn.CPU.AcquireCont(t.c, o.cFn)
 }
@@ -253,7 +253,7 @@ func (t *Thread) getRunC(a *SharedArray, idx int64, dst []byte, then func()) {
 	off := a.l.ChunkOffset(idx)
 	span := t.rt.tel.StartSpan("get", t.id, t.ns.id, start)
 	span.SetBytes(size)
-	t.rt.cfg.Trace.Begin(t.id, trace.StateGetWait, start)
+	span.SetState(telemetry.StateGetWait)
 	o := t.ops()
 	o.x = nbSub{kind: nbGetEager, a: a, rn: int32(rn), off: off, buf: dst, span: span, start: start}
 	o.xnb, o.xthen = false, then
@@ -382,7 +382,7 @@ func (t *Thread) putRunC(a *SharedArray, idx int64, src []byte, then func()) {
 	off := a.l.ChunkOffset(idx)
 	span := t.rt.tel.StartSpan("put", t.id, t.ns.id, start)
 	span.SetBytes(size)
-	t.rt.cfg.Trace.Begin(t.id, trace.StatePut, start)
+	span.SetState(telemetry.StatePut)
 	o := t.ops()
 	o.x = nbSub{kind: nbPut, a: a, rn: int32(rn), off: off, buf: src, span: span, start: start}
 	o.xnb, o.xthen = false, then

@@ -19,7 +19,6 @@ import (
 	"xlupc/internal/sim"
 	"xlupc/internal/svd"
 	"xlupc/internal/telemetry"
-	"xlupc/internal/trace"
 	"xlupc/internal/transport"
 )
 
@@ -98,7 +97,7 @@ type contOps struct {
 	cFn   func()
 	fthen func()
 	fFn   func()
-	span  *telemetry.Span // the barrier's or the fence's (never both at once)
+	span  *telemetry.Span // the barrier's, the fence's or the compute's (one at a time)
 
 	// Blocking-call results (goroutine mode): each callback stores its
 	// result and wakes the thread's process.
@@ -258,7 +257,7 @@ func (o *contOps) getRDMADone(data []byte, nack transport.Nack, ok bool) {
 	t.getSlowC()
 }
 
-// finish closes out a blocking GET or PUT: trace, span, counters, then
+// finish closes out a blocking GET or PUT: span, counters, then
 // the caller's continuation. The in-flight fields are consumed first
 // so the continuation can immediately start another operation.
 func (o *contOps) finish() {
@@ -266,7 +265,6 @@ func (o *contOps) finish() {
 	x, then := o.x, o.xthen
 	o.x, o.xthen = nbSub{}, nil
 	now := t.Now()
-	t.rt.cfg.Trace.End(t.id, now)
 	x.span.Finish(now)
 	if x.kind == nbPut {
 		t.puts++
@@ -410,9 +408,9 @@ func (o *contOps) computeStep() {
 	}
 	o.cheld = false
 	t.ns.tn.CPU.Release()
-	t.rt.cfg.Trace.End(t.id, t.Now())
+	o.span.Finish(t.Now())
 	then := o.cthen
-	o.cthen = nil
+	o.span, o.cthen = nil, nil
 	then()
 }
 
@@ -427,14 +425,13 @@ func (o *contOps) fenceStep() {
 		if !o.fwaiting {
 			o.fwaiting = true
 			o.span = t.rt.tel.StartSpan("fence", t.id, t.ns.id, t.Now())
-			t.rt.cfg.Trace.Begin(t.id, trace.StateFenceWait, t.Now())
+			o.span.SetState(telemetry.StateFenceWait)
 		}
 		t.fence.WaitFn(t.c, o.fFn)
 		return
 	}
 	if o.fwaiting {
 		o.fwaiting = false
-		t.rt.cfg.Trace.End(t.id, t.Now())
 		o.span.Finish(t.Now())
 		o.span = nil
 	}

@@ -5,7 +5,7 @@ import (
 
 	"xlupc/internal/sim"
 	"xlupc/internal/svd"
-	"xlupc/internal/trace"
+	"xlupc/internal/telemetry"
 	"xlupc/internal/transport"
 )
 
@@ -78,11 +78,8 @@ func (ns *nodeState) lockState(h svd.Handle) *lockHome {
 // Lock acquires l (upc_lock), blocking until granted.
 func (t *Thread) Lock(l *Lock) {
 	span := t.rt.tel.StartSpan("lock", t.id, t.ns.id, t.p.Now())
-	t.rt.cfg.Trace.Begin(t.id, trace.StateLockWait, t.p.Now())
-	defer func() {
-		t.rt.cfg.Trace.End(t.id, t.p.Now())
-		span.Finish(t.p.Now())
-	}()
+	span.SetState(telemetry.StateLockWait)
+	defer func() { span.Finish(t.p.Now()) }()
 	if t.ns.id == l.home {
 		t.p.Sleep(lockCPUCost)
 		lh := t.ns.lockState(l.h)

@@ -7,7 +7,7 @@ import (
 
 	"xlupc/internal/sim"
 	"xlupc/internal/svd"
-	"xlupc/internal/trace"
+	"xlupc/internal/telemetry"
 	"xlupc/internal/transport"
 )
 
@@ -818,12 +818,13 @@ func TestRunTwiceRejected(t *testing.T) {
 	}
 }
 
-// Tracing integration: a traced run records the expected states with
-// plausible durations and costs no virtual time.
+// Tracing integration: a run with telemetry attached records the
+// expected Paraver states with plausible durations and costs no
+// virtual time.
 func TestTraceIntegration(t *testing.T) {
-	run := func(tr *trace.Trace) sim.Time {
+	run := func(tel *telemetry.Telemetry) sim.Time {
 		c := cfg(4, 2, transport.GM(), DefaultCache())
-		c.Trace = tr
+		c.Telemetry = tel
 		st := mustRun(t, c, func(th *Thread) {
 			a := th.AllAlloc("A", 32, 8, 8)
 			th.Barrier()
@@ -836,23 +837,23 @@ func TestTraceIntegration(t *testing.T) {
 		})
 		return st.Elapsed
 	}
-	tr := trace.New()
-	traced := run(tr)
+	tel := telemetry.New()
+	traced := run(tel)
 	untraced := run(nil)
 	if traced != untraced {
 		t.Fatalf("tracing changed virtual time: %v vs %v", traced, untraced)
 	}
-	totals := tr.TotalByState()
-	if totals[trace.StateCompute] < 4*5*sim.Us {
-		t.Errorf("compute time %v under-recorded", totals[trace.StateCompute])
+	totals := tel.TotalByState()
+	if totals[telemetry.StateCompute] < 4*5*sim.Us {
+		t.Errorf("compute time %v under-recorded", totals[telemetry.StateCompute])
 	}
-	if totals[trace.StateGetWait] <= 0 {
+	if totals[telemetry.StateGetWait] <= 0 {
 		t.Error("no GET wait recorded")
 	}
-	if totals[trace.StatePut] <= 0 {
+	if totals[telemetry.StatePut] <= 0 {
 		t.Error("no PUT time recorded")
 	}
-	if totals[trace.StateBarrier] <= 0 {
+	if totals[telemetry.StateBarrier] <= 0 {
 		t.Error("no barrier time recorded")
 	}
 }

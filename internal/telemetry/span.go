@@ -44,18 +44,19 @@ const (
 )
 
 // Span records the lifecycle of one runtime operation: a GET, PUT,
-// barrier, lock, fence, alloc or free. The initiating thread opens it,
+// barrier, lock, fence, compute, alloc or free. The initiating thread opens it,
 // every layer that touches the operation appends phases (the span
 // rides along with the simulated message), and the initiator finishes
 // it. For asynchronous PUTs the span ends at local completion, the
 // paper's initiator-blocking cost; target-side phases of the in-flight
 // ACK keep accumulating afterwards and still count in attribution.
 type Span struct {
-	Op     string // "get", "put", "barrier", "lock", "fence", "alloc", "free"
+	Op     string // "get", "put", "barrier", "lock", "fence", "compute", "alloc", "free"
 	Proto  string // protocol taken: "rdma", "eager", "rendezvous", "local", ...
 	Thread int    // initiating UPC thread
 	Node   int    // initiating node
 	Bytes  int    // payload size, when meaningful
+	State  State  // Paraver thread state, or StateNone (paraver.go)
 	Start  sim.Time
 	End    sim.Time // -1 while open
 	Phases []Phase
@@ -110,12 +111,16 @@ func (s *Span) Attributed() sim.Time {
 
 // Finish closes the span at the given time and feeds the registry:
 // xlupc_ops_total and the xlupc_op_latency histogram, both labelled
-// with the operation and protocol.
+// with the operation and protocol. A state span that lasted becomes
+// the next Paraver interval.
 func (s *Span) Finish(at sim.Time) {
 	if s == nil {
 		return
 	}
 	s.End = at
+	if s.State != StateNone && s.End > s.Start {
+		s.tel.states = append(s.tel.states, s)
+	}
 	labels := `op="` + s.Op + `"`
 	if s.Proto != "" {
 		labels += `,proto="` + s.Proto + `"`

@@ -3,9 +3,10 @@
 // latency histograms over sim.Time) plus per-operation spans recording
 // the lifecycle of GET/PUT/barrier/lock/alloc operations phase by
 // phase — cache lookup, protocol selection, registration, wire,
-// target-handler, completion. Two exporters serialize a run: Chrome
-// trace-event JSON (chrome://tracing / Perfetto) and Prometheus text
-// format.
+// target-handler, completion. Three exporters serialize a run: Chrome
+// trace-event JSON (chrome://tracing / Perfetto), Prometheus text
+// format, and Paraver-style per-thread state records read off the
+// spans that hold their thread (the paper's §4.6 tooling).
 //
 // Telemetry costs no virtual time: recording never sleeps, so a run
 // with telemetry attached finishes at exactly the same virtual instant
@@ -24,8 +25,9 @@ import (
 // Telemetry is one run's telemetry hub: a metrics registry plus the
 // span store. Create with New; attach to a run via core.Config.
 type Telemetry struct {
-	reg   Registry
-	spans []*Span
+	reg    Registry
+	spans  []*Span
+	states []*Span // finished state spans, in finish order (paraver.go)
 }
 
 // New returns an empty, enabled telemetry hub.

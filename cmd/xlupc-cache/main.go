@@ -107,6 +107,9 @@ func main() {
 			}
 			caps = append(caps, v)
 		}
+		if err := bench.ValidateMaxThreads(*maxThreads, false); err != nil {
+			fatal(err)
+		}
 		scales := bench.GMScales(*maxThreads)
 		marks := []string{"pointer", "neighborhood"}
 		if *mark != "both" {

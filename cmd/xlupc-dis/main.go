@@ -27,6 +27,10 @@ func main() {
 	parallel := flag.Int("parallel", 0, "sweep worker goroutines (0 = GOMAXPROCS, 1 = sequential); results are identical either way")
 	pf := hostprof.Register(nil)
 	flag.Parse()
+	if err := bench.ValidateMaxThreads(*maxThreads, *profName == "lapi"); err != nil {
+		fmt.Fprintf(os.Stderr, "xlupc-dis: %v\n", err)
+		os.Exit(2)
+	}
 	bench.SetParallelism(*parallel)
 	stopProf := pf.MustStart("xlupc-dis")
 	defer stopProf()

@@ -36,6 +36,10 @@ func main() {
 	parallel := flag.Int("parallel", 0, "sweep worker goroutines (0 = GOMAXPROCS, 1 = sequential); results are identical either way")
 	pf := hostprof.Register(nil)
 	flag.Parse()
+	if err := bench.ValidatePositive("-reps", int64(*reps)); err != nil {
+		fmt.Fprintf(os.Stderr, "xlupc-micro: %v\n", err)
+		os.Exit(2)
+	}
 	bench.SetParallelism(*parallel)
 	stopProf := pf.MustStart("xlupc-micro")
 	defer stopProf()

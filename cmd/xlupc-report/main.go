@@ -19,7 +19,6 @@ import (
 	"os"
 
 	"xlupc/internal/bench"
-	"xlupc/internal/flight"
 	hostprof "xlupc/internal/prof"
 	"xlupc/internal/transport"
 )
@@ -43,21 +42,16 @@ func main() {
 	flightDump := flag.String("flight-dump", "", "write flight dumps to `path` instead of stderr (implies -flight); a clean report writes an on-demand representative capture there instead")
 	pf := hostprof.Register(nil)
 	flag.Parse()
+	if err := bench.ValidatePositive("-reps", int64(*reps)); err != nil {
+		fmt.Fprintf(os.Stderr, "xlupc-report: %v\n", err)
+		os.Exit(2)
+	}
 	bench.SetParallelism(*parallel)
 
-	var flightW io.Writer = os.Stderr
-	var flightFile *os.File
-	if *flightDump != "" {
-		*flightOn = true
-		f, err := os.Create(*flightDump)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xlupc-report: %v\n", err)
-			os.Exit(2)
-		}
-		flightFile, flightW = f, f
-	}
-	if *flightOn {
-		bench.SetFlight(&flight.Config{Dump: flightW})
+	finishFlight, err := bench.StartFlight(*flightOn, *flightDump, *seed)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "xlupc-report: %v\n", err)
+		os.Exit(2)
 	}
 	stopProf := pf.MustStart("xlupc-report")
 
@@ -153,15 +147,8 @@ func main() {
 		}
 	}
 
-	if flightFile != nil {
-		// The report finished without a failure dump; leave a
-		// representative capture behind so the file is never empty.
-		if err := bench.FlightCapture(flightFile, *seed); err != nil {
-			fail(fmt.Errorf("flight capture: %v", err))
-		}
-		if err := flightFile.Close(); err != nil {
-			fail(err)
-		}
+	if err := finishFlight(); err != nil {
+		fail(err)
 	}
 	if err := w.Flush(); err != nil {
 		fmt.Fprintf(os.Stderr, "xlupc-report: writing report: %v\n", err)

@@ -64,23 +64,6 @@ type Stats struct {
 // Lookups is the total number of Lookup calls.
 func (s Stats) Lookups() int64 { return s.Hits + s.Misses }
 
-// KeyStats are one key's hit/miss counters, tracked across residency:
-// misses count even while the key is absent, so a key's hit rate
-// reflects its whole access history, not just its cached stretches.
-type KeyStats struct {
-	Hits   int64
-	Misses int64
-}
-
-// HitRate is Hits over all lookups of the key, or 0 when none.
-func (s KeyStats) HitRate() float64 {
-	n := s.Hits + s.Misses
-	if n == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(n)
-}
-
 // HitRate is Hits over Lookups, or 0 when there were no lookups.
 func (s Stats) HitRate() float64 {
 	n := s.Lookups()
@@ -106,8 +89,7 @@ type Cache struct {
 	tail     *entry // least recently used
 	rng      *rand.Rand
 	stats    Stats
-	perKey   map[Key]KeyStats // built on first lookup; value-typed, so updates allocate nothing
-	adapt    *adaptState      // nil = fixed capacity (the default); see adaptive.go
+	adapt    *adaptState // nil = fixed capacity (the default); see adaptive.go
 }
 
 // New returns an empty cache. The seed only matters for RandomEvict.
@@ -165,23 +147,15 @@ func (c *Cache) Lookup(k Key) (mem.Addr, bool) {
 // epoch the address was advertised under. RDMA descriptors carry it so
 // the target can NACK addresses minted by a pre-crash incarnation.
 func (c *Cache) LookupEpoch(k Key) (mem.Addr, uint32, bool) {
-	if c.perKey == nil {
-		c.perKey = make(map[Key]KeyStats)
-	}
-	ks := c.perKey[k]
 	e, ok := c.m[k]
 	if !ok {
 		c.stats.Misses++
-		ks.Misses++
-		c.perKey[k] = ks
 		if c.adapt != nil {
 			c.adaptNote(k.Node, false)
 		}
 		return 0, 0, false
 	}
 	c.stats.Hits++
-	ks.Hits++
-	c.perKey[k] = ks
 	if c.adapt != nil {
 		c.adaptNote(k.Node, true)
 	}
@@ -191,11 +165,6 @@ func (c *Cache) LookupEpoch(k Key) (mem.Addr, uint32, bool) {
 	}
 	return e.addr, e.epoch, true
 }
-
-// KeyStats returns k's hit/miss counters — the per-(object, node)
-// accounting behind per-shard hit-rate reporting in internal/kv. The
-// zero value is returned for keys never looked up.
-func (c *Cache) KeyStats(k Key) KeyStats { return c.perKey[k] }
 
 // Contains reports whether k is resident, without touching the hit or
 // miss counters or the entry's recency. The runtime uses it to skip

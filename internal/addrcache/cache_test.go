@@ -433,51 +433,3 @@ func TestInsertEpochRoundTrip(t *testing.T) {
 		t.Fatalf("in-place update counted as insert: %d", c.Stats().Inserts)
 	}
 }
-
-func TestKeyStatsPerKeyAccounting(t *testing.T) {
-	// Per-key counters drive internal/kv's per-shard hit-rate report:
-	// they must track each key independently and keep counting misses
-	// across residency gaps (eviction, invalidation).
-	c := New(2, LRU, 1)
-	if ks := c.KeyStats(key(1, 0)); ks != (KeyStats{}) {
-		t.Fatalf("never-looked-up key stats = %+v, want zero", ks)
-	}
-	c.Lookup(key(1, 0)) // miss while absent
-	c.Insert(key(1, 0), 0x10)
-	c.Lookup(key(1, 0)) // hit
-	c.Lookup(key(1, 0)) // hit
-	c.Lookup(key(2, 0)) // miss on a different key
-	ks1 := c.KeyStats(key(1, 0))
-	if ks1.Hits != 2 || ks1.Misses != 1 {
-		t.Fatalf("key 1 stats = %+v, want 2 hits / 1 miss", ks1)
-	}
-	if r := ks1.HitRate(); r < 0.66 || r > 0.67 {
-		t.Fatalf("key 1 hit rate = %v, want 2/3", r)
-	}
-	ks2 := c.KeyStats(key(2, 0))
-	if ks2.Hits != 0 || ks2.Misses != 1 {
-		t.Fatalf("key 2 stats = %+v, want 0 hits / 1 miss", ks2)
-	}
-	// Counters survive the entry's eviction.
-	c.Insert(key(2, 0), 0x20)
-	c.Insert(key(3, 0), 0x30) // evicts key 1 (LRU)
-	c.Lookup(key(1, 0))       // miss after eviction
-	ks1 = c.KeyStats(key(1, 0))
-	if ks1.Hits != 2 || ks1.Misses != 2 {
-		t.Fatalf("key 1 stats after eviction = %+v, want 2 hits / 2 misses", ks1)
-	}
-	// Per-key totals reconcile with the global counters.
-	var hits, misses int64
-	for _, k := range []Key{key(1, 0), key(2, 0), key(3, 0)} {
-		ks := c.KeyStats(k)
-		hits += ks.Hits
-		misses += ks.Misses
-	}
-	st := c.Stats()
-	if hits != st.Hits || misses != st.Misses {
-		t.Fatalf("per-key totals %d/%d disagree with global %d/%d", hits, misses, st.Hits, st.Misses)
-	}
-	if r := (KeyStats{}).HitRate(); r != 0 {
-		t.Fatalf("zero KeyStats hit rate = %v, want 0", r)
-	}
-}

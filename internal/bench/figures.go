@@ -92,21 +92,26 @@ type Scale struct{ Threads, Nodes int }
 
 func (s Scale) String() string { return fmt.Sprintf("%d-%d", s.Threads, s.Nodes) }
 
+// gmLadderMin is the thread count of the GM ladder's first point.
+const gmLadderMin = 8
+
 // GMScales mirrors Figure 8/9a's x-axis (hybrid, 4 threads per node):
 // 8-2 up to maxThreads (2048-512 in the paper).
 func GMScales(maxThreads int) []Scale {
 	var out []Scale
-	for t := 8; t <= maxThreads; t *= 2 {
+	for t := gmLadderMin; t <= maxThreads; t *= 2 {
 		out = append(out, Scale{Threads: t, Nodes: t / 4})
 	}
 	return out
 }
 
-// LAPIScales mirrors Figure 9b's x-axis on the 28-node Power5 cluster.
+// lapiLadder is Figure 9b's x-axis on the 28-node Power5 cluster.
+var lapiLadder = []Scale{{4, 2}, {8, 2}, {16, 2}, {32, 2}, {64, 4}, {128, 8}, {256, 16}, {448, 28}}
+
+// LAPIScales is the LAPI ladder up to maxThreads.
 func LAPIScales(maxThreads int) []Scale {
-	all := []Scale{{4, 2}, {8, 2}, {16, 2}, {32, 2}, {64, 4}, {128, 8}, {256, 16}, {448, 28}}
 	var out []Scale
-	for _, s := range all {
+	for _, s := range lapiLadder {
 		if s.Threads <= maxThreads {
 			out = append(out, s)
 		}

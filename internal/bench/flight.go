@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"os"
 	"sync/atomic"
 
 	"xlupc/internal/core"
@@ -31,6 +33,33 @@ func SetFlight(cfg *flight.Config) *flight.Config {
 
 // Flight reports the sweep drivers' current flight configuration.
 func Flight() *flight.Config { return flightCfg.Load() }
+
+// StartFlight applies a CLI's -flight and -flight-dump switches. A dump
+// path (which implies -flight) is created and receives every failure
+// dump; -flight alone sends them to stderr. The returned finish is for
+// the end of a run that did not fail: it leaves a representative
+// FlightCapture in the dump file, so the file is never empty, and
+// closes it, reporting a failed capture or close. Without a dump path
+// finish does nothing.
+func StartFlight(on bool, dumpPath string, seed int64) (finish func() error, err error) {
+	if dumpPath == "" {
+		if on {
+			SetFlight(&flight.Config{Dump: os.Stderr})
+		}
+		return func() error { return nil }, nil
+	}
+	f, err := os.Create(dumpPath)
+	if err != nil {
+		return nil, err
+	}
+	SetFlight(&flight.Config{Dump: f})
+	return func() error {
+		if err := FlightCapture(f, seed); err != nil {
+			return errors.Join(fmt.Errorf("flight capture: %v", err), f.Close())
+		}
+		return f.Close()
+	}, nil
+}
 
 // divergenceDump writes rt's all-node flight tail (when a recorder is
 // attached and a dump sink configured) before a checksum-divergence

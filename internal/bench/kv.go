@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"xlupc/internal/addrcache"
 	"xlupc/internal/core"
 	"xlupc/internal/fault"
 	"xlupc/internal/kv"
@@ -47,7 +46,7 @@ type KVResult struct {
 	Run      core.RunStats
 	Elapsed  sim.Time
 	OpsPerMs float64 // completed ops per virtual millisecond, all threads
-	HitRate  float64 // address-cache hit rate on the kv object's lines alone
+	HitRate  float64 // address-cache hit rate (the kv object is the run's only shared object)
 }
 
 // RunKV runs the sharded KV dataplane under the given options and
@@ -82,12 +81,8 @@ func RunKV(o KVOpts) KVResult {
 		// Unreachable after w.Validate(), which covers the same ranges.
 		panic(fmt.Sprintf("bench: %v", err))
 	}
-	var handle uint64
 	st, err := rt.Run(func(t *core.Thread) {
 		tb := kv.New(t, ko)
-		if t.ID() == 0 {
-			handle = tb.Array().Handle().Key()
-		}
 		kv.Preload(t, tb, w.NumKeys)
 		results[t.ID()] = kv.RunLoad(t, tb, w, z)
 		tables[t.ID()] = tb.Stats
@@ -104,22 +99,7 @@ func RunKV(o KVOpts) KVResult {
 	if us := st.Elapsed.Usecs(); us > 0 {
 		res.OpsPerMs = float64(res.Merged.Ops) / (us / 1000)
 	}
-	// Per-object hit rate: fold the per-(handle, home-node) counters of
-	// every initiating node's cache — the kv object's lines alone, not
-	// whatever else the run looked up.
-	var ks addrcache.KeyStats
-	for n := 0; n < cfg.Nodes; n++ {
-		c := rt.Cache(n)
-		if c == nil {
-			continue
-		}
-		for m := 0; m < cfg.Nodes; m++ {
-			s := c.KeyStats(addrcache.Key{Handle: handle, Node: int32(m)})
-			ks.Hits += s.Hits
-			ks.Misses += s.Misses
-		}
-	}
-	res.HitRate = ks.HitRate()
+	res.HitRate = st.Cache.HitRate()
 	return res
 }
 

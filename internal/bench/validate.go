@@ -22,6 +22,20 @@ func ValidateScale(threads, nodes int) error {
 	return nil
 }
 
+// ValidateMaxThreads checks that -maxthreads reaches the first point of
+// the GM ladder (which Figure 8 also uses), or of the LAPI ladder when
+// lapi is set. Below it the figure would print its headers and no rows.
+func ValidateMaxThreads(maxThreads int, lapi bool) error {
+	min, name := gmLadderMin, "GM"
+	if lapi {
+		min, name = lapiLadder[0].Threads, "LAPI"
+	}
+	if maxThreads < min {
+		return fmt.Errorf("-maxthreads (%d) must be at least %d, the smallest point of the %s ladder", maxThreads, min, name)
+	}
+	return nil
+}
+
 // parseFloats parses a comma-separated float list for flagName,
 // rejecting NaN and anything outside [0, hi) — or [0, hi] when incl.
 // NaN slips through plain range comparisons (both are false), so it

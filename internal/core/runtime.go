@@ -158,8 +158,8 @@ func (rt *Runtime) Config() Config { return rt.cfg }
 func (rt *Runtime) node(n int) *nodeState { return rt.nodes[n] }
 
 // Cache returns node n's remote address cache, nil when caching is off
-// — the hook layers above the runtime use to report per-object hit
-// rates (addrcache.Cache.KeyStats).
+// — the hook tooling above the runtime uses to read one node's cache
+// counters and contents.
 func (rt *Runtime) Cache(n int) *addrcache.Cache { return rt.nodes[n].cache }
 
 // nodeOfThread maps a UPC thread id to its node.

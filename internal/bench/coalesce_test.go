@@ -57,3 +57,16 @@ func TestValidateScale(t *testing.T) {
 		}
 	}
 }
+
+// ValidateMaxThreads accepts exactly the -maxthreads values that leave
+// the ladder at least one point.
+func TestValidateMaxThreads(t *testing.T) {
+	for _, n := range []int{-1, 0, 3, 4, 7, 8, 9, 512} {
+		if ok := ValidateMaxThreads(n, false) == nil; ok != (len(GMScales(n)) > 0) {
+			t.Errorf("ValidateMaxThreads(%d, gm) ok=%v, GM ladder has %d points", n, ok, len(GMScales(n)))
+		}
+		if ok := ValidateMaxThreads(n, true) == nil; ok != (len(LAPIScales(n)) > 0) {
+			t.Errorf("ValidateMaxThreads(%d, lapi) ok=%v, LAPI ladder has %d points", n, ok, len(LAPIScales(n)))
+		}
+	}
+}

@@ -26,12 +26,12 @@ func ValidateScale(threads, nodes int) error {
 // the GM ladder (which Figure 8 also uses), or of the LAPI ladder when
 // lapi is set. Below it the figure would print its headers and no rows.
 func ValidateMaxThreads(maxThreads int, lapi bool) error {
-	min, name := gmLadderMin, "GM"
+	least, name := gmLadderMin, "GM"
 	if lapi {
-		min, name = lapiLadder[0].Threads, "LAPI"
+		least, name = lapiLadder[0].Threads, "LAPI"
 	}
-	if maxThreads < min {
-		return fmt.Errorf("-maxthreads (%d) must be at least %d, the smallest point of the %s ladder", maxThreads, min, name)
+	if maxThreads < least {
+		return fmt.Errorf("-maxthreads (%d) must be at least %d, the smallest point of the %s ladder", maxThreads, least, name)
 	}
 	return nil
 }

@@ -32,6 +32,24 @@ func TestParaverIntervals(t *testing.T) {
 	}
 }
 
+// A disabled layer must give an empty Paraver view and write no records.
+func TestParaverNilIsSafe(t *testing.T) {
+	var tel *Telemetry
+	s := tel.StartSpan("get", 0, 0, 0)
+	s.SetState(StateGetWait) // must not panic
+	s.Finish(10)
+	var sb strings.Builder
+	if err := tel.WritePRV(&sb); err != nil || sb.Len() != 0 {
+		t.Fatal("nil WritePRV must write nothing")
+	}
+	if len(tel.Intervals()) != 0 || len(tel.TotalByState()) != 0 || len(tel.Profiles()) != 0 {
+		t.Fatal("nil Paraver view must be empty")
+	}
+	if tel.MaxInterval(StateGetWait) != (Interval{}) {
+		t.Fatal("nil MaxInterval must be zero")
+	}
+}
+
 func TestParaverZeroLengthSpansDropped(t *testing.T) {
 	tel := New()
 	stateSpan(tel, 0, StateCompute, 5*sim.Us, 5*sim.Us)

@@ -198,9 +198,16 @@ func (c *coalescer) frame(b *coalBuf) (any, int) {
 		frame = &dmaFrame{ops: b.ops, wire: wire}
 	}
 	c.stats.Frames++
-	c.stats.SavedBytes += int64(unbatched - wire)
+	saved := int64(unbatched - wire)
+	c.stats.SavedBytes += saved
 	c.m.Tel.Add("xlupc_coalesce_frames_total", "", 1)
-	c.m.Tel.Add("xlupc_coalesce_saved_bytes_total", "", int64(unbatched-wire))
+	if saved >= 0 {
+		c.m.Tel.Add("xlupc_coalesce_saved_bytes_total", "", saved)
+	} else {
+		// A one-message frame pays its sub-header on top of the full
+		// header; counters only grow, so the loss is counted apart.
+		c.m.Tel.Add("xlupc_coalesce_extra_bytes_total", "", -saved)
+	}
 	c.m.FR.Record(b.key.src, flight.Event{
 		T: c.m.K.Now(), Kind: flight.KindCoalFlush, Class: flclass(b.key.class),
 		Src: int32(b.key.src), Dst: int32(b.key.dst),

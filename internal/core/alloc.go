@@ -150,38 +150,39 @@ func (t *Thread) Free(a *SharedArray) {
 	t.p.Suspend()
 }
 
-// dropObject performs the local part of a free on node ns, from the
-// process p (a dispatcher serving a remote free request).
-func (ns *nodeState) dropObject(p *sim.Proc, h svd.Handle) {
-	ns.dropObjectC(p.Cont(), h, p.WakeFn())
-	p.Suspend()
+func (rt *Runtime) handleAllocNotify(hc *transport.HandlerCtx, msg *transport.Msg, done func()) {
+	rt.newAMOp(hc, msg, done).wait(allocCPUCost, asServed)
 }
 
-func (rt *Runtime) handleAllocNotify(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
-	ns := rt.nodes[n.ID]
-	m := msg.Meta.(*allocNotify)
-	l := rt.layout(m.ElemSize, m.Block, m.NumElems)
+func (o *amOp) allocServed() {
+	m := o.msg.Meta.(*allocNotify)
+	l := o.rt.layout(m.ElemSize, m.Block, m.NumElems)
 	l.Home = m.Home
-	p.Sleep(allocCPUCost)
-	ns.installArray(m.H, m.Kind, m.Name, l)
+	o.ns.installArray(m.H, m.Kind, m.Name, l)
+	o.finish()
 }
 
-func (rt *Runtime) handleFreeReq(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
-	ns := rt.nodes[n.ID]
+func (rt *Runtime) handleFreeReq(hc *transport.HandlerCtx, msg *transport.Msg, done func()) {
+	ns := rt.nodes[hc.Node().ID]
 	m := msg.Meta.(*freeReq)
 	if _, ok := ns.dir.LookupAny(m.H); !ok {
 		// Allocation notify still in flight; retry shortly.
-		port := rt.M.Fab.Port(ns.id)
-		msg.Retain() // redelivered below; the dispatcher must not recycle it
-		rt.K.After(200*sim.Ns, func() { port.AM.Push(msg) })
+		rt.requeue(ns, msg)
+		done()
 		return
 	}
-	ns.dropObject(p, m.H)
-	rt.M.ReplyAM(p, n.ID, msg.Src, hFreeAck, &freeAck{Acks: m.Acks}, nil, 0)
+	o := rt.newAMOp(hc, msg, done)
+	o.step = asServed
+	ns.dropObjectC(hc.Cont(), m.H, o.stepFn)
 }
 
-func (rt *Runtime) handleFreeAck(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
+func (o *amOp) freeServed() {
+	o.sendFinish(o.msg.Src, hFreeAck, &freeAck{Acks: o.msg.Meta.(*freeReq).Acks})
+}
+
+func (rt *Runtime) handleFreeAck(hc *transport.HandlerCtx, msg *transport.Msg, done func()) {
 	msg.Meta.(*freeAck).Acks.Arrive()
+	done()
 }
 
 // isNodeRep reports whether this thread is its node's representative

@@ -226,35 +226,23 @@ func (t *Thread) nbAtomicC(r Ref, aop transport.AtomicOp, a1, a2 uint64, out *ui
 // advertise, combine on the target CPU, and reply with the previous
 // value plus the piggybacked base — so an AM-fallback atomic repairs
 // the initiator's cache and later atomics return to the NIC path.
-func (rt *Runtime) handleAtomic(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
-	ns := rt.nodes[n.ID]
+func (rt *Runtime) handleAtomic(hc *transport.HandlerCtx, msg *transport.Msg, done func()) {
 	m := msg.Meta.(*atomicReq)
-	t0 := p.Now()
-	cb, requeued := ns.resolve(p, m.H, msg)
-	if requeued {
-		return
-	}
-	msg.Span.Phase(telemetry.PhaseSVDResolve, t0, p.Now())
-	var base mem.Addr
-	var epoch uint32
-	if m.WantAddr {
-		t0 = p.Now()
-		base, epoch = ns.pinChunk(p, cb)
-		msg.Span.Phase(telemetry.PhaseRegistration, t0, p.Now())
-	}
-	// Charge the cost first, then update in one indivisible step so
-	// parallel handler contexts (LAPI) cannot interleave mid-RMW.
-	p.Sleep(atomicCPUCost)
-	old := ns.rmw(cb.LocalBase+mem.Addr(m.Off), m.Op, m.A, m.B)
-	pairs, extra := pairsFor(msg, m.H, base, epoch)
-	rt.M.ReplyToSpan(p, msg, hAtomicRep,
-		&atomicRep{H: m.H, Base: base, Epoch: epoch, Old: old, Done: m.Done, Pairs: pairs},
-		nil, m.Op.ResultBytes()+extra, msg.Span)
+	rt.request(hc, msg, done, m.H, m.WantAddr)
 }
 
-func (rt *Runtime) handleAtomicRep(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
-	ns := rt.nodes[n.ID]
+// atomicServed runs once the combine cost elapsed: the cost is charged
+// first and the update made in one indivisible step, so parallel
+// handler contexts (LAPI) cannot interleave mid-RMW.
+func (o *amOp) atomicServed() {
+	m := o.msg.Meta.(*atomicReq)
+	old := o.ns.rmw(o.cb.LocalBase+mem.Addr(m.Off), m.Op, m.A, m.B)
+	pairs, extra := pairsFor(o.msg, m.H, o.base, o.epoch)
+	o.replyTo(hAtomicRep, &atomicRep{H: m.H, Base: o.base, Epoch: o.epoch, Old: old, Done: m.Done, Pairs: pairs},
+		nil, m.Op.ResultBytes()+extra)
+}
+
+func (rt *Runtime) handleAtomicRep(hc *transport.HandlerCtx, msg *transport.Msg, done func()) {
 	m := msg.Meta.(*atomicRep)
-	rt.insertPiggyback(p, ns, msg.Src, m.H, m.Base, m.Epoch, m.Pairs, msg.Span)
-	m.Done.Complete(m.Old)
+	rt.reply(hc, msg, done, false, m.H, m.Base, m.Epoch, m.Pairs)
 }

@@ -244,9 +244,13 @@ func (nb *nodeBarrier) awaitC(ct *sim.Cont, key dissKey, then func()) {
 	})
 }
 
-func (rt *Runtime) handleBarrier(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
-	nb := rt.nodes[n.ID].barrier
-	m := msg.Meta.(*barrierMsg)
+func (rt *Runtime) handleBarrier(hc *transport.HandlerCtx, msg *transport.Msg, done func()) {
+	rt.nodes[hc.Node().ID].barrier.arrive(msg.Meta.(*barrierMsg))
+	done()
+}
+
+// arrive records one barrier message, waking the round waiting for it.
+func (nb *nodeBarrier) arrive(m *barrierMsg) {
 	if m.Round == flatArrive {
 		nb.flatCount[m.Epoch]++
 		if nb.flatWait != nil && nb.flatWaitEpoch == m.Epoch && nb.flatCount[m.Epoch] >= nb.flatTarget {

@@ -112,21 +112,21 @@ func (cs *collState) awaitColl(p *sim.Proc, k *sim.Kernel, key collKey) *collMsg
 	}
 	c := sim.NewCompletion(k, fmt.Sprintf("coll e%d from %d", key.epoch, key.from))
 	cs.waiters[key] = c
-	var p2 *sim.Proc = p
-	p2.Wait(c)
+	p.Wait(c)
 	delete(cs.waiters, key)
 	return c.Value().(*collMsg)
 }
 
-func (rt *Runtime) handleColl(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
-	cs := rt.nodes[n.ID].coll
+func (rt *Runtime) handleColl(hc *transport.HandlerCtx, msg *transport.Msg, done func()) {
+	cs := rt.nodes[hc.Node().ID].coll
 	m := msg.Meta.(*collMsg)
 	key := collKey{epoch: m.Epoch, from: m.From}
 	if c, ok := cs.waiters[key]; ok {
 		c.Complete(m)
-		return
+	} else {
+		cs.recv[key] = m
 	}
-	cs.recv[key] = m
+	done()
 }
 
 // sendColl ships a collective message to another node.

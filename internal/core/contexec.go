@@ -546,8 +546,8 @@ func (t *Thread) FreeC(a *SharedArray, then func()) {
 
 // dropObjectC performs the local part of a free on node ns: drop the
 // object's cached addresses, unpin and free its local piece, and mark
-// the handle freed. Remote free requests arrive on the dispatcher
-// processes and use the blocking wrapper, dropObject.
+// the handle freed. Remote free requests run it on their handler
+// context.
 func (ns *nodeState) dropObjectC(ct *sim.Cont, h svd.Handle, then func()) {
 	afterInval := func() {
 		cb, ok := ns.dir.LookupAny(h)

@@ -143,162 +143,61 @@ type rtrResult struct {
 	ok    bool
 }
 
-// --- Target-side handlers ----------------------------------------------
+// --- Target-side handlers (see amop.go) --------------------------------
 
-// pinChunk applies the greedy pin-everything policy on first remote
-// access: the whole local chunk of the object is registered at once.
-// It returns the (base address, incarnation epoch) pair to advertise —
-// base 0 if pinning failed (registration limits) — and charges the
-// registration cost to the dispatcher (the target CPU on
-// non-overlapping transports).
-func (ns *nodeState) pinChunk(p *sim.Proc, cb *svd.ControlBlock) (mem.Addr, uint32) {
-	if !cb.HasLocal {
-		panic(fmt.Sprintf("core: node %d asked to pin %v, which it does not own", ns.id, cb.Handle))
-	}
-	cost, err := ns.tn.Pins.Pin(cb.LocalBase, cb.LocalSize, cb.Handle.Key(), p.Now())
-	// Capture the advertised pair before sleeping the registration cost:
-	// a crash mid-sleep relocates the chunk and bumps the epoch together,
-	// so the initiator receives a coherent stale (base, epoch) — which
-	// heals through a clean stale-NACK — never a fresh base under an old
-	// epoch or vice versa.
-	base, epoch := cb.LocalBase, ns.tn.Epoch
-	if cost > 0 {
-		p.Sleep(cost)
-	}
-	if err != nil {
-		return 0, epoch
-	}
-	return base, epoch
-}
-
-func (rt *Runtime) handleGetReq(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
-	ns := rt.nodes[n.ID]
+func (rt *Runtime) handleGetReq(hc *transport.HandlerCtx, msg *transport.Msg, done func()) {
 	m := msg.Meta.(*getReq)
-	t0 := p.Now()
-	cb, requeued := ns.resolve(p, m.H, msg)
-	if requeued {
-		return
-	}
-	msg.Span.Phase(telemetry.PhaseSVDResolve, t0, p.Now())
-	var base mem.Addr
-	var epoch uint32
-	if m.WantAddr {
-		t0 = p.Now()
-		base, epoch = ns.pinChunk(p, cb)
-		msg.Span.Phase(telemetry.PhaseRegistration, t0, p.Now())
-	}
-	// Eager reply: the data is copied into a (pre-registered) bounce
-	// buffer before injection — the copy cost that RDMA avoids.
-	t0 = p.Now()
-	p.Sleep(sim.BytesTime(m.Size, rt.cfg.Profile.CopyByteTime))
-	msg.Span.Phase(telemetry.PhaseCopy, t0, p.Now())
-	data := n.Mem.ReadAlloc(cb.LocalBase+mem.Addr(m.Off), m.Size)
-	pairs, extra := pairsFor(msg, m.H, base, epoch)
-	rt.M.ReplyToSpan(p, msg, hGetRep, &getRep{H: m.H, Base: base, Epoch: epoch, Done: m.Done, Pairs: pairs}, data, extra, msg.Span)
+	rt.request(hc, msg, done, m.H, m.WantAddr)
 }
 
-func (rt *Runtime) handleGetRep(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
-	ns := rt.nodes[n.ID]
+func (o *amOp) getServed() {
+	m := o.msg.Meta.(*getReq)
+	o.msg.Span.Phase(telemetry.PhaseCopy, o.t0, o.now())
+	data := o.ns.tn.Mem.ReadAlloc(o.cb.LocalBase+mem.Addr(m.Off), m.Size)
+	pairs, extra := pairsFor(o.msg, m.H, o.base, o.epoch)
+	o.replyTo(hGetRep, &getRep{H: m.H, Base: o.base, Epoch: o.epoch, Done: m.Done, Pairs: pairs}, data, extra)
+}
+
+func (rt *Runtime) handleGetRep(hc *transport.HandlerCtx, msg *transport.Msg, done func()) {
 	m := msg.Meta.(*getRep)
-	// Copy out of the receive bounce buffer.
-	t0 := p.Now()
-	p.Sleep(sim.BytesTime(len(msg.Payload), rt.cfg.Profile.CopyByteTime))
-	msg.Span.Phase(telemetry.PhaseCopy, t0, p.Now())
-	rt.insertPiggyback(p, ns, msg.Src, m.H, m.Base, m.Epoch, m.Pairs, msg.Span)
-	m.Done.CompleteBytes(msg.Payload)
+	rt.reply(hc, msg, done, true, m.H, m.Base, m.Epoch, m.Pairs)
 }
 
-// insertPiggyback fills the initiator's cache from a reply's
-// piggybacked addresses: the replier's own (handle, base), exactly as
-// the blocking protocol always has, plus any extra pairs accumulated
-// across the sub-messages of a coalesced frame. Every new entry pays
-// the insert cost; pairs already resident (an earlier reply of the same
-// frame filled them) are skipped without charge.
-func (rt *Runtime) insertPiggyback(p *sim.Proc, ns *nodeState, src int, own svd.Handle, base mem.Addr, epoch uint32, pairs []addrPair, span *telemetry.Span) {
-	if ns.cache == nil || (base == 0 && len(pairs) == 0) {
-		return
-	}
-	t0 := p.Now()
-	if base != 0 {
-		p.Sleep(rt.cfg.Profile.CacheInsertCost)
-		ns.cache.InsertEpoch(cacheKey(own, src), base, epoch)
-	}
-	for _, pr := range pairs {
-		if pr.Base == 0 || pr.H == own {
-			continue
-		}
-		k := cacheKey(pr.H, src)
-		if ns.cache.Contains(k) {
-			continue
-		}
-		p.Sleep(rt.cfg.Profile.CacheInsertCost)
-		ns.cache.InsertEpoch(k, pr.Base, pr.Epoch)
-	}
-	span.Phase(telemetry.PhaseCacheInsert, t0, p.Now())
-}
-
-func (rt *Runtime) handlePutReq(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
-	ns := rt.nodes[n.ID]
+func (rt *Runtime) handlePutReq(hc *transport.HandlerCtx, msg *transport.Msg, done func()) {
 	m := msg.Meta.(*putReq)
-	t0 := p.Now()
-	cb, requeued := ns.resolve(p, m.H, msg)
-	if requeued {
-		return
-	}
-	msg.Span.Phase(telemetry.PhaseSVDResolve, t0, p.Now())
-	var base mem.Addr
-	var epoch uint32
-	if m.WantAddr {
-		t0 = p.Now()
-		base, epoch = ns.pinChunk(p, cb)
-		msg.Span.Phase(telemetry.PhaseRegistration, t0, p.Now())
-	}
-	// Copy from the receive bounce buffer into place.
-	t0 = p.Now()
-	p.Sleep(sim.BytesTime(len(msg.Payload), rt.cfg.Profile.CopyByteTime))
-	msg.Span.Phase(telemetry.PhaseCopy, t0, p.Now())
-	n.Mem.Write(cb.LocalBase+mem.Addr(m.Off), msg.Payload)
-	pairs, extra := pairsFor(msg, m.H, base, epoch)
-	rt.M.ReplyToSpan(p, msg, hPutAck,
-		&putAck{H: m.H, Base: base, Epoch: epoch, Fence: m.Fence, Done: m.Done, Pairs: pairs}, nil, extra, msg.Span)
+	rt.request(hc, msg, done, m.H, m.WantAddr)
 }
 
-func (rt *Runtime) handlePutAck(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
-	ns := rt.nodes[n.ID]
+func (o *amOp) putServed() {
+	m := o.msg.Meta.(*putReq)
+	o.msg.Span.Phase(telemetry.PhaseCopy, o.t0, o.now())
+	o.ns.tn.Mem.Write(o.cb.LocalBase+mem.Addr(m.Off), o.msg.Payload)
+	pairs, extra := pairsFor(o.msg, m.H, o.base, o.epoch)
+	o.replyTo(hPutAck, &putAck{H: m.H, Base: o.base, Epoch: o.epoch, Fence: m.Fence, Done: m.Done, Pairs: pairs}, nil, extra)
+}
+
+func (rt *Runtime) handlePutAck(hc *transport.HandlerCtx, msg *transport.Msg, done func()) {
 	m := msg.Meta.(*putAck)
-	rt.insertPiggyback(p, ns, msg.Src, m.H, m.Base, m.Epoch, m.Pairs, msg.Span)
-	m.Fence.Arrive()
-	if m.Done != nil {
-		m.Done.Complete(nil)
-	}
+	rt.reply(hc, msg, done, false, m.H, m.Base, m.Epoch, m.Pairs)
 }
 
-func (rt *Runtime) handleRTS(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
-	ns := rt.nodes[n.ID]
-	m := msg.Meta.(*rts)
-	t0 := p.Now()
-	cb, requeued := ns.resolve(p, m.H, msg)
-	if requeued {
-		return
-	}
-	msg.Span.Phase(telemetry.PhaseSVDResolve, t0, p.Now())
-	t0 = p.Now()
-	base, epoch := ns.pinChunk(p, cb) // rendezvous always registers
-	msg.Span.Phase(telemetry.PhaseRegistration, t0, p.Now())
-	rt.M.ReplyAMSpan(p, n.ID, msg.Src, hRTR,
-		&rtr{H: m.H, Base: base, Epoch: epoch, OK: base != 0, Done: m.Done}, nil, piggybackBytes, msg.Span)
+// handleRTS always registers: the rendezvous answer carries the base
+// address the zero-copy transfer targets.
+func (rt *Runtime) handleRTS(hc *transport.HandlerCtx, msg *transport.Msg, done func()) {
+	rt.request(hc, msg, done, msg.Meta.(*rts).H, true)
 }
 
-func (rt *Runtime) handleRTR(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
-	ns := rt.nodes[n.ID]
+func (o *amOp) rtsServed() {
+	m := o.msg.Meta.(*rts)
+	o.rt.M.SendAMSpanC(o.hc.Cont(), o.ns.id, o.msg.Src, hRTR,
+		&rtr{H: m.H, Base: o.base, Epoch: o.epoch, OK: o.base != 0, Done: m.Done}, nil, piggybackBytes, o.msg.Span, o.finishFn)
+}
+
+// handleRTR caches the advertised base (only a successful pin
+// advertises one) and completes the rendezvous.
+func (rt *Runtime) handleRTR(hc *transport.HandlerCtx, msg *transport.Msg, done func()) {
 	m := msg.Meta.(*rtr)
-	if m.OK && ns.cache != nil {
-		t0 := p.Now()
-		p.Sleep(rt.cfg.Profile.CacheInsertCost)
-		ns.cache.InsertEpoch(cacheKey(m.H, msg.Src), m.Base, m.Epoch)
-		msg.Span.Phase(telemetry.PhaseCacheInsert, t0, p.Now())
-	}
-	m.Done.Complete(rtrResult{base: m.Base, epoch: m.Epoch, ok: m.OK})
+	rt.reply(hc, msg, done, false, m.H, m.Base, m.Epoch, nil)
 }
 
 // watchPut completes an asynchronous RDMA PUT under the thread's

@@ -123,47 +123,57 @@ func (t *Thread) TryLock(l *Lock) bool {
 func (t *Thread) Unlock(l *Lock) {
 	if t.ns.id == l.home {
 		t.p.Sleep(lockCPUCost)
-		t.rt.homeUnlock(t.p, t.rt.nodes[l.home], l.h)
+		t.rt.homeUnlockC(t.c, t.rt.nodes[l.home], l.h, t.wake)
+		t.p.Suspend()
 		return
 	}
 	t.rt.M.SendAM(t.p, t.ns.id, l.home, hUnlockReq, &unlockReq{H: l.h}, nil, 0)
 }
 
-// homeUnlock passes the lock to the next waiter or releases it.
-// It runs on the home node (thread or dispatcher context).
-func (rt *Runtime) homeUnlock(p *sim.Proc, home *nodeState, h svd.Handle) {
+// homeUnlockC passes the lock to the next waiter or releases it, then
+// runs then. It runs on the home node (thread or handler context).
+func (rt *Runtime) homeUnlockC(ct *sim.Cont, home *nodeState, h svd.Handle, then func()) {
 	lh := home.lockState(h)
 	if !lh.held {
 		panic(fmt.Sprintf("core: unlock of unheld lock %v", h))
 	}
 	if len(lh.queue) == 0 {
 		lh.held = false
+		then()
 		return
 	}
 	w := lh.queue[0]
 	lh.queue = lh.queue[1:]
 	if w.node == home.id {
 		w.done.Complete(nil)
+		then()
 		return
 	}
-	rt.M.SendAM(p, home.id, w.node, hLockGrant, &lockGrant{Done: w.done}, nil, 0)
+	rt.M.SendAMSpanC(ct, home.id, w.node, hLockGrant, &lockGrant{Done: w.done}, nil, 0, nil, then)
 }
 
-func (rt *Runtime) handleLockReq(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
-	ns := rt.nodes[n.ID]
-	m := msg.Meta.(*lockReq)
-	p.Sleep(lockCPUCost)
-	lh := ns.lockState(m.H)
+// The lock request, attempt and unlock handlers charge the home-side
+// queue work, then act on the lock's home state.
+
+func (rt *Runtime) handleLockReq(hc *transport.HandlerCtx, msg *transport.Msg, done func()) {
+	rt.newAMOp(hc, msg, done).wait(lockCPUCost, asServed)
+}
+
+func (o *amOp) lockServed() {
+	m := o.msg.Meta.(*lockReq)
+	lh := o.ns.lockState(m.H)
 	if !lh.held {
 		lh.held = true
-		rt.M.ReplyAM(p, n.ID, msg.Src, hLockGrant, &lockGrant{Done: m.Done}, nil, 0)
+		o.sendFinish(o.msg.Src, hLockGrant, &lockGrant{Done: m.Done})
 		return
 	}
-	lh.queue = append(lh.queue, &lockWaiter{node: msg.Src, done: m.Done})
+	lh.queue = append(lh.queue, &lockWaiter{node: o.msg.Src, done: m.Done})
+	o.finish()
 }
 
-func (rt *Runtime) handleLockGrant(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
+func (rt *Runtime) handleLockGrant(hc *transport.HandlerCtx, msg *transport.Msg, done func()) {
 	msg.Meta.(*lockGrant).Done.Complete(nil)
+	done()
 }
 
 // tryResult carries a TryLock outcome back to the initiator.
@@ -172,26 +182,30 @@ type tryResult struct {
 	Done *sim.Completion
 }
 
-func (rt *Runtime) handleLockTry(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
-	ns := rt.nodes[n.ID]
-	m := msg.Meta.(*lockReq)
-	p.Sleep(lockCPUCost)
-	lh := ns.lockState(m.H)
+func (rt *Runtime) handleLockTry(hc *transport.HandlerCtx, msg *transport.Msg, done func()) {
+	rt.newAMOp(hc, msg, done).wait(lockCPUCost, asServed)
+}
+
+func (o *amOp) tryLockServed() {
+	m := o.msg.Meta.(*lockReq)
+	lh := o.ns.lockState(m.H)
 	ok := !lh.held
 	if ok {
 		lh.held = true
 	}
-	rt.M.ReplyAM(p, n.ID, msg.Src, hLockTryRep, &tryResult{OK: ok, Done: m.Done}, nil, 0)
+	o.sendFinish(o.msg.Src, hLockTryRep, &tryResult{OK: ok, Done: m.Done})
 }
 
-func (rt *Runtime) handleLockTryRep(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
+func (rt *Runtime) handleLockTryRep(hc *transport.HandlerCtx, msg *transport.Msg, done func()) {
 	m := msg.Meta.(*tryResult)
 	m.Done.Complete(m.OK)
+	done()
 }
 
-func (rt *Runtime) handleUnlockReq(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
-	ns := rt.nodes[n.ID]
-	m := msg.Meta.(*unlockReq)
-	p.Sleep(lockCPUCost)
-	rt.homeUnlock(p, ns, m.H)
+func (rt *Runtime) handleUnlockReq(hc *transport.HandlerCtx, msg *transport.Msg, done func()) {
+	rt.newAMOp(hc, msg, done).wait(lockCPUCost, asServed)
+}
+
+func (o *amOp) unlockServed() {
+	o.rt.homeUnlockC(o.hc.Cont(), o.ns, o.msg.Meta.(*unlockReq).H, o.finishFn)
 }

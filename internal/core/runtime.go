@@ -57,6 +57,9 @@ type Runtime struct {
 	// userHandlers is the user-level AM dispatch table (useram.go).
 	userHandlers [maxUserHandlers]UserHandler
 
+	// amOps pools the records of messages in service (amop.go).
+	amOps []*amOp
+
 	// runLocal holds run-scoped host-side singletons (see RunLocal).
 	runLocal map[string]any
 
@@ -567,24 +570,4 @@ func (rt *Runtime) RunLocal(key string, build func() any) any {
 		rt.runLocal[key] = v
 	}
 	return v
-}
-
-// resolve looks a handle up in node ns's SVD replica from within an AM
-// handler. If the handle is not yet known (its allocation notification
-// is still in flight), the message is requeued after a short delay
-// rather than blocking the dispatcher; the caller must return
-// immediately when resolve reports requeued=true.
-func (ns *nodeState) resolve(p *sim.Proc, h svd.Handle, msg *transport.Msg) (cb *svd.ControlBlock, requeued bool) {
-	p.Sleep(ns.rt.cfg.Profile.SVDLookupCost)
-	cb, ok := ns.dir.LookupAny(h)
-	if !ok { // unknown: retry once the notification lands
-		port := ns.rt.M.Fab.Port(ns.id)
-		msg.Retain() // redelivered below; the dispatcher must not recycle it
-		ns.rt.K.After(200*sim.Ns, func() { port.AM.Push(msg) })
-		return nil, true
-	}
-	if cb.Freed {
-		panic(fmt.Sprintf("core: node %d: remote access to freed object %v (%s)", ns.id, h, cb.Name))
-	}
-	return cb, false
 }

@@ -165,47 +165,49 @@ func (ns *nodeState) nodeLocal(key string, build func(k *sim.Kernel) any) any {
 
 // handleUserReq mirrors handleGetReq: resolve, optionally pin and
 // advertise, run the user handler, and reply with its payload (paying
-// the bounce-buffer copy cost the eager path always pays).
-func (rt *Runtime) handleUserReq(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
-	ns := rt.nodes[n.ID]
+// the bounce-buffer copy cost the eager path always pays). Only the
+// user handler's body runs on the handler context's coroutine.
+func (rt *Runtime) handleUserReq(hc *transport.HandlerCtx, msg *transport.Msg, done func()) {
 	m := msg.Meta.(*userReq)
-	t0 := p.Now()
-	cb, requeued := ns.resolve(p, m.H, msg)
-	if requeued {
-		return
-	}
-	msg.Span.Phase(telemetry.PhaseSVDResolve, t0, p.Now())
-	var base mem.Addr
-	var epoch uint32
-	if m.WantAddr {
-		t0 = p.Now()
-		base, epoch = ns.pinChunk(p, cb)
-		msg.Span.Phase(telemetry.PhaseRegistration, t0, p.Now())
-	}
-	h := rt.userHandlers[m.ID]
-	if h == nil {
+	rt.request(hc, msg, done, m.H, m.WantAddr)
+}
+
+// startUser hands the user handler to the context's coroutine.
+func (o *amOp) startUser() {
+	m := o.msg.Meta.(*userReq)
+	if o.rt.userHandlers[m.ID] == nil {
 		panic(fmt.Sprintf("core: user AM for unregistered handler id %d", m.ID))
 	}
-	ctx := UserCtx{rt: rt, ns: ns, p: p, msg: msg, req: m, cb: cb}
-	reply := h(&ctx)
-	t0 = p.Now()
-	p.Sleep(sim.BytesTime(len(reply), rt.cfg.Profile.CopyByteTime))
-	msg.Span.Phase(telemetry.PhaseCopy, t0, p.Now())
-	pairs, extra := pairsFor(msg, m.H, base, epoch)
-	rt.M.ReplyToSpan(p, msg, hUserRep,
-		&userRep{H: m.H, Base: base, Epoch: epoch, Done: m.Done, Pairs: pairs}, reply, extra, msg.Span)
+	o.step = asUserRan
+	o.hc.Block(o.userFn, o.stepFn)
+}
+
+// runUser is userFn: the user handler body, on the coroutine p.
+func (o *amOp) runUser(p *sim.Proc) {
+	m := o.msg.Meta.(*userReq)
+	o.uctx = UserCtx{rt: o.rt, ns: o.ns, p: p, msg: o.msg, req: m, cb: o.cb}
+	o.reply = o.rt.userHandlers[m.ID](&o.uctx)
+	o.uctx = UserCtx{}
+}
+
+// userRan charges the reply's copy into the bounce buffer.
+func (o *amOp) userRan() {
+	o.t0 = o.now()
+	o.wait(sim.BytesTime(len(o.reply), o.prof().CopyByteTime), asServed)
+}
+
+func (o *amOp) userServed() {
+	m := o.msg.Meta.(*userReq)
+	o.msg.Span.Phase(telemetry.PhaseCopy, o.t0, o.now())
+	pairs, extra := pairsFor(o.msg, m.H, o.base, o.epoch)
+	o.replyTo(hUserRep, &userRep{H: m.H, Base: o.base, Epoch: o.epoch, Done: m.Done, Pairs: pairs}, o.reply, extra)
 }
 
 // handleUserRep mirrors handleGetRep: copy out, absorb piggybacked
 // addresses, complete the caller with the payload.
-func (rt *Runtime) handleUserRep(p *sim.Proc, n *transport.Node, msg *transport.Msg) {
-	ns := rt.nodes[n.ID]
+func (rt *Runtime) handleUserRep(hc *transport.HandlerCtx, msg *transport.Msg, done func()) {
 	m := msg.Meta.(*userRep)
-	t0 := p.Now()
-	p.Sleep(sim.BytesTime(len(msg.Payload), rt.cfg.Profile.CopyByteTime))
-	msg.Span.Phase(telemetry.PhaseCopy, t0, p.Now())
-	rt.insertPiggyback(p, ns, msg.Src, m.H, m.Base, m.Epoch, m.Pairs, msg.Span)
-	m.Done.CompleteBytes(msg.Payload)
+	rt.reply(hc, msg, done, true, m.H, m.Base, m.Epoch, m.Pairs)
 }
 
 // --- Initiator side ----------------------------------------------------

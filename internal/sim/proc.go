@@ -32,6 +32,7 @@ type Proc struct {
 
 	parked   bool   // suspended (or not yet started): a wake resumes it
 	woken    bool   // a wake fired before the matching suspend
+	resumes  int64  // coroutine switches into the body, the start included
 	panicked string // attributed panic message, set when the body panicked
 }
 
@@ -84,6 +85,7 @@ func (p *Proc) wake() {
 		return
 	}
 	p.parked = false
+	p.resumes++
 	k := p.c.k
 	prev := k.running
 	k.running = p
@@ -97,6 +99,11 @@ func (p *Proc) wake() {
 		panic(msg)
 	}
 }
+
+// Resumes reports how many times the process's coroutine was switched
+// into, its start included; a wake that arrives while the body runs
+// costs no switch and is not counted.
+func (p *Proc) Resumes() int64 { return p.resumes }
 
 // WakeFn returns the process's pre-bound wake callback, to pass as the
 // continuation of a …C operation before calling Suspend. It is the

@@ -3,8 +3,8 @@ package sim
 // Queue is an unbounded FIFO mailbox connecting producers (processes
 // or kernel callbacks) to consumers. It is the delivery point for
 // simulated network messages: the fabric schedules a Push at a
-// message's arrival time, and either a dispatcher process loops on Pop
-// or a callback engine drains it via Notify/TryPop.
+// message's arrival time, and a callback engine drains it, either
+// waiting with PopFn or reacting to Notify with TryPop.
 type Queue[T any] struct {
 	k        *Kernel
 	name     string
@@ -103,6 +103,20 @@ func (q *Queue[T]) PopC(ct *Cont, fn func(v T)) {
 		ct.unblock()
 		q.PopC(ct, fn)
 	})
+}
+
+// PopFn is the zero-alloc form of PopC for a pre-bound retry: it
+// removes and returns the oldest item when one is queued; otherwise it
+// registers retry to be woken by the next Push and reports false.
+// retry must call PopFn again — another consumer may have drained the
+// queue first — which keeps Pop's FIFO waiter order, re-registration
+// at the back after a lost race included.
+func (q *Queue[T]) PopFn(ct *Cont, retry func()) (v T, ok bool) {
+	if q.Len() > 0 {
+		return q.take(), true
+	}
+	q.await(ct, retry)
+	return v, false
 }
 
 // await registers fn to be woken by the next Push.

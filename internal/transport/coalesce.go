@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"fmt"
-
 	"xlupc/internal/fabric"
 	"xlupc/internal/flight"
 	"xlupc/internal/sim"
@@ -267,15 +265,15 @@ func (c *coalescer) flushC(b *coalBuf) {
 	})
 }
 
-// ReplyToSpan replies to req from inside its handler. While req is
-// being served as part of a batch frame, the reply joins the batch's
-// reply buffer — the target answers a coalesced frame with one
-// coalesced frame — and otherwise (or with coalescing off) it is an
-// ordinary reply.
-func (m *Machine) ReplyToSpan(p *sim.Proc, req *Msg, id HandlerID, meta any, payload []byte, extra int, span *telemetry.Span) {
+// ReplyToSpanC replies to req from inside its handler; then runs once
+// the reply is on the wire or queued. While req is being served as
+// part of a batch frame, the reply joins the batch's reply buffer —
+// the target answers a coalesced frame with one coalesced frame — and
+// otherwise (or with coalescing off) it is an ordinary reply.
+func (m *Machine) ReplyToSpanC(ct *sim.Cont, req *Msg, id HandlerID, meta any, payload []byte, extra int, span *telemetry.Span, then func()) {
 	c := m.coal
 	if c == nil || req.reply == nil || req.reply.closed {
-		m.SendAMSpan(p, req.Dst, req.Src, id, meta, payload, extra, span)
+		m.SendAMSpanC(ct, req.Dst, req.Src, id, meta, payload, extra, span, then)
 		return
 	}
 	b := req.reply
@@ -285,61 +283,5 @@ func (m *Machine) ReplyToSpan(p *sim.Proc, req *Msg, id HandlerID, meta any, pay
 	msg.Src, msg.Dst, msg.Handler, msg.Meta, msg.Payload = b.key.src, b.key.dst, id, meta, payload
 	msg.wire = sub
 	msg.Span = span
-	// No timer on reply buffers: the dispatcher flushes when the batch
-	// is fully served, so replies never linger.
-	p.Sleep(c.cfg.AppendCost)
-	b.ops = append(b.ops, msg)
-	b.spans = append(b.spans, span)
-	b.queued = append(b.queued, p.Now())
-	b.bytes += sub
-	c.stats.Msgs++
-	m.Tel.Add("xlupc_coalesce_msgs_total", "", 1)
-}
-
-// serveBatch dispatches every sub-message of a coalesced frame under a
-// single Comm acquisition: the frame pays the full receive overhead
-// once, each sub-message only the smaller per-op entry cost. Replies
-// the handlers issue toward the frame's origin coalesce into one reply
-// frame, flushed when service ends.
-func (m *Machine) serveBatch(p *sim.Proc, nd *Node, b *batchMsg) {
-	c := m.coal
-	if c == nil {
-		panic(fmt.Sprintf("transport: node %d received a batch frame with coalescing off", nd.ID))
-	}
-	reply := &coalBuf{key: coalKey{src: nd.ID, dst: b.Src, class: fabric.ClassAM}}
-	scratch := &BatchScratch{}
-	acq := p.Now()
-	nd.Comm.Acquire(p)
-	recv := p.Now()
-	p.Sleep(m.Prof.RecvOverhead)
-	for _, msg := range b.msgs {
-		h := m.handlers[msg.Handler]
-		if h == nil {
-			panic(fmt.Sprintf("transport: node %d: no handler %d", nd.ID, msg.Handler))
-		}
-		msg.Span.Phase(telemetry.PhaseWire, b.sent, b.arrived)
-		msg.Span.Phase(telemetry.PhaseCPUWait, b.arrived, acq)
-		msg.Span.Phase(telemetry.PhaseCPUWait, acq, recv)
-		t0 := p.Now()
-		p.Sleep(c.cfg.SubRecvOverhead)
-		msg.Span.Phase(telemetry.PhaseRecv, recv, recv+m.Prof.RecvOverhead)
-		msg.Span.Phase(telemetry.PhaseRecv, t0, p.Now())
-		msg.reply = reply
-		msg.Batch = scratch
-		msg.sent, msg.arrived = b.sent, b.arrived
-		h(p, nd, msg)
-		msg.reply = nil
-		if msg.retained {
-			msg.retained = false // will recycle after redelivery
-		} else {
-			m.freeMsg(msg)
-		}
-	}
-	if len(reply.ops) > 0 {
-		c.flushCont(p.Cont(), reply, "sync", p.WakeFn())
-		p.Suspend()
-	} else {
-		reply.closed = true
-	}
-	nd.Comm.Release()
+	c.appendCont(ct, b.key, b, msg, sub, span, then)
 }

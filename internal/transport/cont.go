@@ -12,7 +12,7 @@ import (
 
 // The transport's initiator send paths, in continuation-passing style.
 // This is their only implementation: the blocking forms (SendAMSpan,
-// ReplyAMSpan, RDMAGetSpan, RDMAPutSpan) start these with the calling
+// RDMAGetSpan, RDMAPutSpan) start these with the calling
 // process's wake callback and suspend, so both execution modes produce
 // the same kernel event stream by construction.
 
@@ -307,7 +307,7 @@ func (m *Machine) startDesc(ct *sim.Cont, src, dst, wire int, desc any, span *te
 	x := m.newXfer(ct, src, dst, wire, fabric.ClassDMA, desc, span)
 	x.after, x.done, x.thenRes = afterHandOut, res, then
 	if c := m.coal; c != nil {
-		c.appendCont(ct, coalKey{src: src, dst: dst, class: fabric.ClassDMA}, desc, wire, span, x.completeFn)
+		c.appendCont(ct, coalKey{src: src, dst: dst, class: fabric.ClassDMA}, nil, desc, wire, span, x.completeFn)
 		return
 	}
 	x.start(m.Prof.RDMASetup)
@@ -331,8 +331,10 @@ func stampWire(op any, sent, arrived sim.Time) {
 // appendCont parks one operation in its buffer, charging the (small)
 // append cost to the calling thread, and flushes inline when a
 // threshold trips; then runs afterwards. subwire is the operation's
-// contribution to the frame.
-func (c *coalescer) appendCont(ct *sim.Cont, key coalKey, op any, subwire int, span *telemetry.Span, then func()) {
+// contribution to the frame. A non-nil reply is the reply buffer of a
+// batch in service, which its handler context flushes when service
+// ends: it has no timer and no thresholds.
+func (c *coalescer) appendCont(ct *sim.Cont, key coalKey, reply *coalBuf, op any, subwire int, span *telemetry.Span, then func()) {
 	if key.src == key.dst {
 		panic(fmt.Sprintf("transport: node %d coalescing to itself", key.src))
 	}
@@ -344,7 +346,7 @@ func (c *coalescer) appendCont(ct *sim.Cont, key coalKey, op any, subwire int, s
 		a = &coalAppend{c: c}
 		a.stepFn = a.step
 	}
-	a.ct, a.key, a.op, a.subwire, a.span, a.then = ct, key, op, subwire, span, then
+	a.ct, a.key, a.reply, a.op, a.subwire, a.span, a.then = ct, key, reply, op, subwire, span, then
 	ct.Sleep(c.cfg.AppendCost, a.stepFn)
 }
 
@@ -354,6 +356,7 @@ type coalAppend struct {
 	c       *coalescer
 	ct      *sim.Cont
 	key     coalKey
+	reply   *coalBuf
 	op      any
 	subwire int
 	span    *telemetry.Span
@@ -362,12 +365,15 @@ type coalAppend struct {
 }
 
 func (a *coalAppend) step() {
-	c, ct, key, op, subwire, span, then := a.c, a.ct, a.key, a.op, a.subwire, a.span, a.then
-	a.ct, a.op, a.span, a.then = nil, nil, nil, nil
+	c, ct, key, b, op, subwire, span, then := a.c, a.ct, a.key, a.reply, a.op, a.subwire, a.span, a.then
+	a.ct, a.reply, a.op, a.span, a.then = nil, nil, nil, nil, nil
 	c.appends = append(c.appends, a)
-	b := c.buf(key)
-	if len(b.ops) == 0 && c.cfg.FlushDelay > 0 {
-		b.timer = c.m.K.AfterTimer(c.cfg.FlushDelay, func() { c.flushC(b) })
+	reply := b != nil
+	if !reply {
+		b = c.buf(key)
+		if len(b.ops) == 0 && c.cfg.FlushDelay > 0 {
+			b.timer = c.m.K.AfterTimer(c.cfg.FlushDelay, func() { c.flushC(b) })
+		}
 	}
 	b.ops = append(b.ops, op)
 	b.spans = append(b.spans, span)
@@ -375,7 +381,7 @@ func (a *coalAppend) step() {
 	b.bytes += subwire
 	c.stats.Msgs++
 	c.m.Tel.Add("xlupc_coalesce_msgs_total", "", 1)
-	if len(b.ops) >= c.cfg.MaxOps || b.bytes >= c.cfg.MaxBytes {
+	if !reply && (len(b.ops) >= c.cfg.MaxOps || b.bytes >= c.cfg.MaxBytes) {
 		c.flushCont(ct, b, "size", then)
 		return
 	}
@@ -501,5 +507,5 @@ func (m *Machine) SendAMCoalescedC(ct *sim.Cont, src, dst int, id HandlerID, met
 	msg.Src, msg.Dst, msg.Handler, msg.Meta, msg.Payload = src, dst, id, meta, payload
 	msg.wire = sub
 	msg.Span = span
-	c.appendCont(ct, coalKey{src: src, dst: dst, class: fabric.ClassAM}, msg, sub, span, then)
+	c.appendCont(ct, coalKey{src: src, dst: dst, class: fabric.ClassAM}, nil, msg, sub, span, then)
 }

@@ -15,11 +15,14 @@ import (
 // notification, …) under stable ids.
 type HandlerID uint8
 
-// Handler is a header handler executed by the target node's AM
-// dispatcher, in the dispatcher's process context: it may Sleep to
-// model cost, touch the node's memory and pin table, and send replies.
-// The base RecvOverhead has already been charged when it runs.
-type Handler func(p *sim.Proc, n *Node, m *Msg)
+// Handler serves one active message on one of the target node's
+// handler contexts, as kernel callbacks: the context holds Comm and has
+// charged the base RecvOverhead. It may sleep on and send from
+// hc.Cont(), touch the node's memory and pin table, and hand a blocking
+// body to the context's coroutine with hc.Block. It must call done
+// exactly once, as its last act, when the message is served; the
+// context then releases Comm and serves its next message.
+type Handler func(hc *HandlerCtx, m *Msg, done func())
 
 // Msg is one active message.
 type Msg struct {
@@ -47,15 +50,15 @@ type Msg struct {
 	reply *coalBuf
 
 	// retained marks a message requeued by its handler (see Retain);
-	// the dispatcher skips recycling it once, then clears the flag.
+	// the handler context skips recycling it once, then clears the flag.
 	retained bool
 }
 
 // WireSize reports the message's size on the wire.
 func (m *Msg) WireSize() int { return m.wire }
 
-// Machine is a simulated cluster: fabric plus per-node software state
-// and the NIC/AM dispatcher processes.
+// Machine is a simulated cluster: fabric plus per-node software state,
+// the AM handler contexts and the NIC DMA engines.
 type Machine struct {
 	K        *sim.Kernel
 	Prof     *Profile
@@ -123,10 +126,14 @@ type Node struct {
 	// dedicated engine otherwise (LAPI).
 	CPU  *sim.Resource
 	Comm *sim.Resource
+
+	// ctxs are the node's AM handler contexts (see engine.go).
+	ctxs []*HandlerCtx
 }
 
 // NewMachine builds a cluster of n nodes over the profile's topology
-// and wire model and spawns the per-node dispatcher processes.
+// and wire model and starts each node's AM handler contexts and DMA
+// engine.
 func NewMachine(k *sim.Kernel, prof *Profile, n int) *Machine {
 	m := &Machine{
 		K:    k,
@@ -158,7 +165,8 @@ func NewMachine(k *sim.Kernel, prof *Profile, n int) *Machine {
 			nd.Comm = nd.CPU
 		}
 		m.Nodes[i] = nd
-		m.spawnDispatchers(nd)
+		m.startHandlerCtxs(nd)
+		m.startDMAEngine(nd)
 	}
 	return m
 }
@@ -260,61 +268,6 @@ func (m *Machine) noteRecovered(node int) {
 	})
 }
 
-func (m *Machine) spawnDispatchers(nd *Node) {
-	port := m.Fab.Port(nd.ID)
-	// The AM dispatchers drain incoming active messages. Each message
-	// is serviced by its header handler, which must run on the Comm
-	// resource: the compute CPU itself when the transport does not
-	// overlap computation and communication — so a busy CPU stalls
-	// remote requests, the effect behind the paper's Field analysis —
-	// or a dedicated engine when it does. Overlapping transports get
-	// one dispatcher per handler context; non-overlapping ones a
-	// single dispatcher (GM progress is single-threaded polling).
-	contexts := 1
-	if m.Prof.CommOverlap && m.Prof.CommCapacity > 1 {
-		contexts = m.Prof.CommCapacity
-	}
-	for c := 0; c < contexts; c++ {
-		m.K.SpawnDaemon(fmt.Sprintf("node%d.amdisp%d", nd.ID, c), func(p *sim.Proc) {
-			for {
-				raw := port.AM.Pop(p)
-				if b, ok := raw.(*batchMsg); ok {
-					m.serveBatch(p, nd, b)
-					continue
-				}
-				msg := raw.(*Msg)
-				h := m.handlers[msg.Handler]
-				if h == nil {
-					panic(fmt.Sprintf("transport: node %d: no handler %d", nd.ID, msg.Handler))
-				}
-				msg.Span.Phase(telemetry.PhaseWire, msg.sent, msg.arrived)
-				// Everything between physical arrival and handler start
-				// is the target being busy: queue residency behind
-				// earlier handlers plus waiting for a CPU/comm context.
-				// On non-overlapping transports this is the target CPU
-				// computing — the paper's §4.6 culprit.
-				acq := p.Now()
-				nd.Comm.Acquire(p)
-				msg.Span.Phase(telemetry.PhaseCPUWait, msg.arrived, acq)
-				msg.Span.Phase(telemetry.PhaseCPUWait, acq, p.Now())
-				recv := p.Now()
-				p.Sleep(m.Prof.RecvOverhead)
-				msg.Span.Phase(telemetry.PhaseRecv, recv, p.Now())
-				h(p, nd, msg)
-				nd.Comm.Release()
-				if msg.retained {
-					msg.retained = false // will recycle after redelivery
-				} else {
-					m.freeMsg(msg)
-				}
-			}
-		})
-	}
-	// The NIC's DMA engine services RDMA descriptors with no CPU
-	// involvement; it runs as kernel callbacks, not a process.
-	m.startDMAEngine(nd)
-}
-
 // SendAM injects an active message from node src toward dst, charging
 // the initiator's CPU send overhead and NIC injection. It returns once
 // the message is on the wire; delivery and handling are asynchronous.
@@ -330,16 +283,4 @@ func (m *Machine) SendAM(p *sim.Proc, src, dst int, id HandlerID, meta any, payl
 func (m *Machine) SendAMSpan(p *sim.Proc, src, dst int, id HandlerID, meta any, payload []byte, extra int, span *telemetry.Span) {
 	m.SendAMSpanC(p.Cont(), src, dst, id, meta, payload, extra, span, p.WakeFn())
 	p.Suspend()
-}
-
-// ReplyAM is SendAM for use inside handlers (identical mechanics; the
-// dispatcher is the sending process and keeps holding Comm, so on
-// non-overlapping transports reply construction occupies the CPU).
-func (m *Machine) ReplyAM(p *sim.Proc, src, dst int, id HandlerID, meta any, payload []byte, extra int) {
-	m.SendAM(p, src, dst, id, meta, payload, extra)
-}
-
-// ReplyAMSpan is ReplyAM carrying the operation's span into the reply.
-func (m *Machine) ReplyAMSpan(p *sim.Proc, src, dst int, id HandlerID, meta any, payload []byte, extra int, span *telemetry.Span) {
-	m.SendAMSpan(p, src, dst, id, meta, payload, extra, span)
 }

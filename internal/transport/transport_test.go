@@ -49,12 +49,14 @@ func TestAMRoundTrip(t *testing.T) {
 	type pingMeta struct {
 		done *sim.Completion
 	}
-	m.Handle(hPing, func(p *sim.Proc, n *Node, msg *Msg) {
-		p.Sleep(1 * sim.Us) // handler work
-		m.ReplyAM(p, n.ID, msg.Src, hPong, msg.Meta, nil, 0)
+	m.Handle(hPing, func(hc *HandlerCtx, msg *Msg, done func()) {
+		hc.Cont().Sleep(1*sim.Us, func() { // handler work
+			m.ReplyToSpanC(hc.Cont(), msg, hPong, msg.Meta, nil, 0, nil, done)
+		})
 	})
-	m.Handle(hPong, func(p *sim.Proc, n *Node, msg *Msg) {
+	m.Handle(hPong, func(hc *HandlerCtx, msg *Msg, done func()) {
 		msg.Meta.(*pingMeta).done.Complete(nil)
+		done()
 	})
 	var rtt sim.Time
 	k.Spawn("pinger", func(p *sim.Proc) {
@@ -79,9 +81,10 @@ func TestAMRoundTrip(t *testing.T) {
 func TestAMPayloadDelivered(t *testing.T) {
 	k, m := newTestMachine(t, GM(), 2)
 	var got []byte
-	m.Handle(hPing, func(p *sim.Proc, n *Node, msg *Msg) {
+	m.Handle(hPing, func(hc *HandlerCtx, msg *Msg, done func()) {
 		got = msg.Payload
 		k.Stop()
+		done()
 	})
 	want := []byte("eager payload")
 	k.Spawn("sender", func(p *sim.Proc) {
@@ -115,8 +118,8 @@ func TestDuplicateHandlerPanics(t *testing.T) {
 		}
 	}()
 	_, m := newTestMachine(t, GM(), 2)
-	m.Handle(hPing, func(*sim.Proc, *Node, *Msg) {})
-	m.Handle(hPing, func(*sim.Proc, *Node, *Msg) {})
+	m.Handle(hPing, func(_ *HandlerCtx, _ *Msg, done func()) { done() })
+	m.Handle(hPing, func(_ *HandlerCtx, _ *Msg, done func()) { done() })
 }
 
 // On GM the AM handler executes on the compute CPU: a node whose cores
@@ -125,8 +128,9 @@ func TestDuplicateHandlerPanics(t *testing.T) {
 func TestOverlapVsNoOverlap(t *testing.T) {
 	run := func(prof *Profile) sim.Time {
 		k, m := newTestMachine(t, prof, 2)
-		m.Handle(hPing, func(p *sim.Proc, n *Node, msg *Msg) {
+		m.Handle(hPing, func(hc *HandlerCtx, msg *Msg, done func()) {
 			msg.Meta.(*sim.Completion).Complete(nil)
+			done()
 		})
 		const busy = 200 * sim.Us
 		// Saturate node 1's cores with compute work.
@@ -387,12 +391,14 @@ func TestCommCapacityParallelism(t *testing.T) {
 	prof := LAPI()
 	k, m := newTestMachine(t, prof, 2)
 	var done []sim.Time
-	m.Handle(hPing, func(p *sim.Proc, n *Node, msg *Msg) {
-		p.Sleep(10 * sim.Us)
-		done = append(done, p.Now())
-		if len(done) == 2 {
-			k.Stop()
-		}
+	m.Handle(hPing, func(hc *HandlerCtx, msg *Msg, served func()) {
+		hc.Cont().Sleep(10*sim.Us, func() {
+			done = append(done, k.Now())
+			if len(done) == 2 {
+				k.Stop()
+			}
+			served()
+		})
 	})
 	k.Spawn("sender", func(p *sim.Proc) {
 		m.SendAM(p, 0, 1, hPing, nil, nil, 0)
@@ -413,12 +419,14 @@ func TestCommCapacityParallelism(t *testing.T) {
 func TestGMHandlersSerialize(t *testing.T) {
 	k, m := newTestMachine(t, GM(), 2)
 	var done []sim.Time
-	m.Handle(hPing, func(p *sim.Proc, n *Node, msg *Msg) {
-		p.Sleep(10 * sim.Us)
-		done = append(done, p.Now())
-		if len(done) == 2 {
-			k.Stop()
-		}
+	m.Handle(hPing, func(hc *HandlerCtx, msg *Msg, served func()) {
+		hc.Cont().Sleep(10*sim.Us, func() {
+			done = append(done, k.Now())
+			if len(done) == 2 {
+				k.Stop()
+			}
+			served()
+		})
 	})
 	k.Spawn("sender", func(p *sim.Proc) {
 		m.SendAM(p, 0, 1, hPing, nil, nil, 0)

@@ -466,7 +466,9 @@ func (t *Thread) healStaleC(rn int, ep uint32, op string, span *telemetry.Span, 
 	fin := func() {
 		span.Phase(telemetry.PhaseEpochRecovery, t0, t.Now())
 		t.rt.staleInvalidated += int64(n)
-		t.rt.tel.Add("xlupc_stale_recoveries_total", `op="`+op+`"`, 1)
+		if t.rt.tel != nil {
+			t.rt.tel.Add("xlupc_stale_recoveries_total", `op="`+op+`"`, 1)
+		}
 		t.rt.recordCacheInval(t.ns.id, rn, uint64(ep), n)
 		then(true)
 	}

@@ -403,16 +403,16 @@ func (o *contOps) retireStep() {
 	for {
 		op := o.rop
 		if op == nil { // SyncAll: next outstanding op
-			if len(t.nbOut) == 0 {
-				t.nbOut = t.nbOut[:0]
+			if t.nbHead == len(t.nbOut) {
+				t.nbOut, t.nbHead = t.nbOut[:0], 0
 				then := o.rthen
 				o.rthen = nil
 				then()
 				return
 			}
-			op = t.nbOut[0]
-			t.nbOut[0] = nil
-			t.nbOut = t.nbOut[1:]
+			op = t.nbOut[t.nbHead]
+			t.nbOut[t.nbHead] = nil
+			t.nbHead++
 			if op.retired {
 				t.freeNbOp(op)
 				continue

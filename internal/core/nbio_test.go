@@ -427,3 +427,30 @@ func TestCoalescedSyncAcrossDestinations(t *testing.T) {
 		t.Errorf("GUPS RunStats diverged between modes:\n goroutine: %+v\n cont:      %+v", gG, gC)
 	}
 }
+
+// Draining the outstanding handles keeps their list's backing array, so
+// a steady issue/SyncAll loop stops growing it after the first batch.
+func TestSyncAllKeepsOutstandingArray(t *testing.T) {
+	mustRun(t, cfg(4, 2, transport.LAPI(), DefaultCache()), func(th *Thread) {
+		a := th.AllAlloc("a", 64, 8, 8)
+		th.Barrier()
+		var w [8]byte
+		caps := make([]int, 4)
+		for round := range caps {
+			for i := int64(0); i < 8; i++ {
+				th.NbGet(w[:], a.At(int64((th.ID()+2)%4)*8+i)) // on the other node
+			}
+			th.SyncAll()
+			if len(th.nbOut) != 0 || th.nbHead != 0 {
+				t.Fatalf("thread %d: %d handles outstanding from %d after SyncAll", th.ID(), len(th.nbOut), th.nbHead)
+			}
+			caps[round] = cap(th.nbOut)
+		}
+		for _, c := range caps {
+			if c < 8 || c != caps[0] {
+				t.Errorf("thread %d: outstanding list capacity %v after each SyncAll, want the first batch's array kept", th.ID(), caps)
+				return
+			}
+		}
+	})
+}

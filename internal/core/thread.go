@@ -30,8 +30,9 @@ type Thread struct {
 
 	// nbOut is the issue-ordered list of outstanding split-phase
 	// handles; SyncAll (and through it every fence and barrier) drains
-	// it.
-	nbOut []*nbOp
+	// it from nbHead, keeping the backing array for the next batch.
+	nbOut  []*nbOp
+	nbHead int
 
 	// nbPool recycles retired split-phase descriptors; each descriptor
 	// carries a generation stamp that keeps stale Handles from aliasing

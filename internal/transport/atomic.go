@@ -48,6 +48,22 @@ func (op AtomicOp) String() string {
 	return "unknown"
 }
 
+// atomicLabels are the op="…" metric labels of the atomic ops, built
+// once so counting an op allocates nothing.
+var atomicLabels = [...]string{
+	AtomicFetchAdd:    `op="fetchadd"`,
+	AtomicCompareSwap: `op="cas"`,
+	AtomicAccumulate:  `op="accumulate"`,
+}
+
+// Label is the op's metric label, op="<String()>".
+func (op AtomicOp) Label() string {
+	if int(op) < len(atomicLabels) {
+		return atomicLabels[op]
+	}
+	return `op="unknown"`
+}
+
 // OperandBytes is the operand payload riding with the descriptor.
 func (op AtomicOp) OperandBytes() int {
 	if op == AtomicCompareSwap {
@@ -98,6 +114,7 @@ type dmaAtomic struct {
 	fetch     []byte
 	epoch     uint32          // target incarnation the initiator believes in
 	done      *sim.Completion // completes with the old value ([]byte) or a Nack
+	split     string          // split-phase: its NACK label (see dmaResp)
 
 	span    *telemetry.Span
 	sent    sim.Time
@@ -149,10 +166,9 @@ func (m *Machine) RDMAAtomicSpanC(ct *sim.Cont, src, dst int, base, raddr mem.Ad
 func (m *Machine) RDMAAtomicStartC(ct *sim.Cont, src, dst int, base, raddr mem.Addr, aop AtomicOp, arg1, arg2 uint64, fetch []byte, epoch uint32, span *telemetry.Span, then func(res *sim.Completion)) {
 	m.rdmaCount++
 	done := sim.NewCompletion(m.K, "rdma-atomic")
-	res := m.nbResult(done, "atomic", span)
 	op := m.newDMAAtomic()
-	*op = dmaAtomic{initiator: src, base: base, raddr: raddr, op: aop, arg1: arg1, arg2: arg2, fetch: fetch, epoch: epoch, done: done, span: span}
-	m.startDesc(ct, src, dst, m.Prof.RDMADescBytes+aop.OperandBytes(), op, span, res, then)
+	*op = dmaAtomic{initiator: src, base: base, raddr: raddr, op: aop, arg1: arg1, arg2: arg2, fetch: fetch, epoch: epoch, done: done, split: "atomic", span: span}
+	m.startDesc(ct, src, dst, m.Prof.RDMADescBytes+aop.OperandBytes(), op, span, done, then)
 }
 
 // serveAtomic starts engine service of an atomic descriptor — the
@@ -176,9 +192,7 @@ func (e *dmaEngine) serveAtomic2() {
 	if op.epoch != e.nd.Epoch {
 		m.noteStale("atomic")
 		e.recordNack(flight.KindStaleNack, op.initiator, uint64(op.epoch))
-		resp := m.newDMAResp()
-		*resp = dmaResp{done: op.done, val: Nack{Stale: true, Epoch: e.nd.Epoch}, span: op.span}
-		e.sendResp(op.initiator, m.Prof.RDMADescBytes, resp)
+		e.sendResp(op.initiator, m.Prof.RDMADescBytes, m.newDMAResp(op.done, Nack{Stale: true, Epoch: e.nd.Epoch}, nil, op.split, op.span))
 		m.freeDMAAtomic(op)
 		return
 	}
@@ -188,9 +202,7 @@ func (e *dmaEngine) serveAtomic2() {
 			panic(fmt.Sprintf("transport: node %d: RDMA atomic to unpinned region %#x under pin-all", e.nd.ID, op.base))
 		}
 		e.recordNack(flight.KindPinNack, op.initiator, uint64(op.base))
-		resp := m.newDMAResp()
-		*resp = dmaResp{done: op.done, val: Nack{}, span: op.span}
-		e.sendResp(op.initiator, m.Prof.RDMADescBytes, resp)
+		e.sendResp(op.initiator, m.Prof.RDMADescBytes, m.newDMAResp(op.done, Nack{}, nil, op.split, op.span))
 		m.freeDMAAtomic(op)
 		return
 	}
@@ -203,13 +215,9 @@ func (e *dmaEngine) serveAtomic2() {
 		Src: int32(op.initiator), Dst: int32(e.nd.ID),
 		Seq: uint64(op.raddr), Arg: int64(op.op),
 	})
-	resp := m.newDMAResp()
 	if op.fetch != nil {
 		atomicOrder.PutUint64(op.fetch, old)
-		*resp = dmaResp{done: op.done, data: op.fetch, span: op.span}
-	} else {
-		*resp = dmaResp{done: op.done, data: nil, span: op.span}
 	}
-	e.sendResp(op.initiator, m.Prof.RDMADescBytes+op.op.ResultBytes(), resp)
+	e.sendResp(op.initiator, m.Prof.RDMADescBytes+op.op.ResultBytes(), m.newDMAResp(op.done, nil, op.fetch, op.split, op.span))
 	m.freeDMAAtomic(op)
 }

@@ -224,7 +224,9 @@ func (c *coalescer) noteFlush(reason string) {
 	default:
 		c.stats.SyncFlushes++
 	}
-	c.m.Tel.Add("xlupc_coalesce_flushes_total", `reason="`+reason+`"`, 1)
+	if c.m.Tel != nil {
+		c.m.Tel.Add("xlupc_coalesce_flushes_total", `reason="`+reason+`"`, 1)
+	}
 }
 
 // stamp records the coalesce-flush phase (buffer residency) and the

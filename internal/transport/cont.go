@@ -279,10 +279,9 @@ func (m *Machine) RDMAPutSpanC(ct *sim.Cont, src, dst int, base, raddr mem.Addr,
 func (m *Machine) RDMAGetStartC(ct *sim.Cont, src, dst int, base, raddr mem.Addr, into []byte, size int, epoch uint32, span *telemetry.Span, then func(res *sim.Completion)) {
 	m.rdmaCount++
 	done := sim.NewCompletion(m.K, "rdma-get")
-	res := m.nbResult(done, "get", span)
 	op := m.newDMAGet()
-	*op = dmaGet{initiator: src, base: base, raddr: raddr, size: size, dst: into, epoch: epoch, done: done, span: span}
-	m.startDesc(ct, src, dst, m.Prof.RDMADescBytes, op, span, res, then)
+	*op = dmaGet{initiator: src, base: base, raddr: raddr, size: size, dst: into, epoch: epoch, done: done, split: "get", span: span}
+	m.startDesc(ct, src, dst, m.Prof.RDMADescBytes, op, span, done, then)
 }
 
 // RDMAPutStartC issues a one-sided write split-phase, without holding

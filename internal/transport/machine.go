@@ -244,7 +244,9 @@ func (m *Machine) noteStale(op string) {
 		return
 	}
 	m.crash.stats.StaleNacks++
-	m.Tel.Add("xlupc_stale_nacks_total", `op="`+op+`"`, 1)
+	if m.Tel != nil {
+		m.Tel.Add("xlupc_stale_nacks_total", `op="`+op+`"`, 1)
+	}
 }
 
 // noteRecovered marks a restarted node as fully recovered the first

@@ -1,5 +1,10 @@
 package transport
 
+import (
+	"xlupc/internal/sim"
+	"xlupc/internal/telemetry"
+)
+
 // Free-lists for the per-operation descriptor structs on the hot
 // paths: active messages and RDMA descriptors. Pooling is enabled only
 // while the reliable-delivery layer is off (m.rel == nil): the
@@ -92,21 +97,24 @@ func (m *Machine) freeDMAPut(op *dmaPut) {
 	m.pool.puts = append(m.pool.puts, op)
 }
 
-func (m *Machine) newDMAResp() *dmaResp {
-	if m.rel == nil {
-		if n := len(m.pool.resps); n > 0 {
-			op := m.pool.resps[n-1]
-			m.pool.resps = m.pool.resps[:n-1]
-			return op
-		}
+// newDMAResp builds a response; a pooled record keeps the latency step
+// it bound on first use.
+func (m *Machine) newDMAResp(done *sim.Completion, val any, data []byte, split string, span *telemetry.Span) *dmaResp {
+	var op *dmaResp
+	if n := len(m.pool.resps); m.rel == nil && n > 0 {
+		op = m.pool.resps[n-1]
+		m.pool.resps = m.pool.resps[:n-1]
+	} else {
+		op = &dmaResp{m: m}
 	}
-	return &dmaResp{}
+	op.done, op.val, op.data, op.split, op.span = done, val, data, split, span
+	return op
 }
 
 func (m *Machine) freeDMAResp(op *dmaResp) {
 	if m.rel != nil {
 		return
 	}
-	*op = dmaResp{}
+	*op = dmaResp{m: m, lateFn: op.lateFn}
 	m.pool.resps = append(m.pool.resps, op)
 }

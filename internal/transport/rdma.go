@@ -22,6 +22,7 @@ type dmaGet struct {
 	// bounce buffer per read; nil falls back to an allocated copy.
 	epoch uint32          // target incarnation the initiator believes in
 	done  *sim.Completion // completes at the initiator with []byte
+	split string          // split-phase read: its NACK label (see dmaResp)
 
 	span    *telemetry.Span
 	sent    sim.Time // injection time, start of the wire phase
@@ -46,14 +47,25 @@ type dmaPut struct {
 // dmaResp carries an RDMA completion back to the initiator NIC. Data
 // responses ride the typed data lane (no per-op interface boxing);
 // NACKs use the any-valued one.
+//
+// The response of a split-phase read (split is its NACK counter's op
+// label) also ends the read: the initiator NIC counts a NACK when it
+// observes it, like a blocking read's, and completes done only after
+// the transport's RDMA-mode extra latency, on the response's own
+// pre-bound step. A blocking read pays that latency in its xferOp.
 type dmaResp struct {
-	done *sim.Completion
-	val  any
-	data []byte
+	done  *sim.Completion
+	val   any
+	data  []byte
+	split string
 
 	span    *telemetry.Span
 	sent    sim.Time
 	arrived sim.Time
+
+	m      *Machine
+	lat    sim.Time // start of the extra latency
+	lateFn func()   // latencyDone, bound once per record
 }
 
 // Nack is the completion value of an RDMA operation refused at the
@@ -115,43 +127,12 @@ func (m *Machine) RDMAPutSpan(p *sim.Proc, src, dst int, base, raddr mem.Addr, d
 	return c.doneResult()
 }
 
-// nbResult wraps a split-phase RDMA read's completion: the
-// caller-visible completion fires only after the transport's RDMA-mode
-// extra latency, and NACKs are counted when the initiator observes
-// them, like a blocking read's.
-func (m *Machine) nbResult(done *sim.Completion, opName string, span *telemetry.Span) *sim.Completion {
-	res := sim.NewCompletion(m.K, "rdma-nb")
-	done.Then(func(v any) {
-		if _, nack := v.(Nack); nack {
-			m.noteNack(opName)
-		}
-		data := done.Bytes()
-		m.K.Recycle(done)
-		if m.Prof.RDMAExtraLatency > 0 {
-			lat := m.K.Now()
-			m.K.After(m.Prof.RDMAExtraLatency, func() {
-				span.Phase(telemetry.PhaseRDMALatency, lat, m.K.Now())
-				if v != nil {
-					res.Complete(v)
-				} else {
-					res.CompleteBytes(data)
-				}
-			})
-			return
-		}
-		if v != nil {
-			res.Complete(v)
-		} else {
-			res.CompleteBytes(data)
-		}
-	})
-	return res
-}
-
 // noteNack counts an RDMA NACK observed by the initiator.
 func (m *Machine) noteNack(op string) {
 	m.nacks++
-	m.Tel.Add("xlupc_rdma_nacks_total", `op="`+op+`"`, 1)
+	if m.Tel != nil {
+		m.Tel.Add("xlupc_rdma_nacks_total", `op="`+op+`"`, 1)
+	}
 }
 
 // recordNack flight-records an RDMA refusal at the target engine. For
@@ -285,9 +266,7 @@ func (e *dmaEngine) serveGet2() {
 		// can flush everything it cached for this node.
 		m.noteStale("get")
 		e.recordNack(flight.KindStaleNack, op.initiator, uint64(op.epoch))
-		resp := m.newDMAResp()
-		*resp = dmaResp{done: op.done, val: Nack{Stale: true, Epoch: e.nd.Epoch}, span: op.span}
-		e.sendResp(op.initiator, m.Prof.RDMADescBytes, resp)
+		e.sendResp(op.initiator, m.Prof.RDMADescBytes, m.newDMAResp(op.done, Nack{Stale: true, Epoch: e.nd.Epoch}, nil, op.split, op.span))
 		m.freeDMAGet(op)
 		return
 	}
@@ -300,9 +279,7 @@ func (e *dmaEngine) serveGet2() {
 			panic(fmt.Sprintf("transport: node %d: RDMA access to unpinned region %#x under pin-all", e.nd.ID, op.base))
 		}
 		e.recordNack(flight.KindPinNack, op.initiator, uint64(op.base))
-		resp := m.newDMAResp()
-		*resp = dmaResp{done: op.done, val: Nack{}, span: op.span}
-		e.sendResp(op.initiator, m.Prof.RDMADescBytes, resp)
+		e.sendResp(op.initiator, m.Prof.RDMADescBytes, m.newDMAResp(op.done, Nack{}, nil, op.split, op.span))
 		m.freeDMAGet(op)
 		return
 	}
@@ -312,9 +289,7 @@ func (e *dmaEngine) serveGet2() {
 	} else {
 		data = e.nd.Mem.ReadAlloc(op.raddr, op.size)
 	}
-	resp := m.newDMAResp()
-	*resp = dmaResp{done: op.done, data: data, span: op.span}
-	e.sendResp(op.initiator, m.Prof.RDMADescBytes+op.size, resp)
+	e.sendResp(op.initiator, m.Prof.RDMADescBytes+op.size, m.newDMAResp(op.done, nil, data, op.split, op.span))
 	m.freeDMAGet(op)
 }
 
@@ -410,12 +385,38 @@ func (e *dmaEngine) serveResp2() {
 	// service itself.
 	op.span.Phase(telemetry.PhaseRDMARecv, op.arrived, t0)
 	op.span.Phase(telemetry.PhaseRDMARecv, t0, k.Now())
+	if op.split != "" {
+		if _, nack := op.val.(Nack); nack {
+			m.noteNack(op.split)
+		}
+		if lat := m.Prof.RDMAExtraLatency; lat > 0 {
+			op.lat = k.Now()
+			if op.lateFn == nil {
+				op.lateFn = op.latencyDone
+			}
+			k.After(lat, op.lateFn)
+			e.serveNext()
+			return
+		}
+	}
+	op.complete()
+	e.serveNext()
+}
+
+// latencyDone completes a split-phase read once the extra latency
+// elapsed.
+func (op *dmaResp) latencyDone() {
+	op.span.Phase(telemetry.PhaseRDMALatency, op.lat, op.m.K.Now())
+	op.complete()
+}
+
+// complete recycles the response, then completes its operation.
+func (op *dmaResp) complete() {
 	done, val, data := op.done, op.val, op.data
-	m.freeDMAResp(op)
+	op.m.freeDMAResp(op)
 	if val != nil {
 		done.Complete(val)
 	} else {
 		done.CompleteBytes(data)
 	}
-	e.serveNext()
 }

@@ -59,7 +59,7 @@ type amOp struct {
 
 	stepFn   func()
 	finishFn func()
-	userFn   func(p *sim.Proc)
+	userFn   func(p *sim.Proc) // runUser, bound on the record's first user AM
 }
 
 func (rt *Runtime) newAMOp(hc *transport.HandlerCtx, msg *transport.Msg, done func()) *amOp {
@@ -71,7 +71,6 @@ func (rt *Runtime) newAMOp(hc *transport.HandlerCtx, msg *transport.Msg, done fu
 		o = &amOp{rt: rt}
 		o.stepFn = o.resume
 		o.finishFn = o.finish
-		o.userFn = o.runUser
 	}
 	o.ns, o.hc, o.msg, o.done = rt.nodes[hc.Node().ID], hc, msg, done
 	return o

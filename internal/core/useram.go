@@ -178,6 +178,9 @@ func (o *amOp) startUser() {
 	if o.rt.userHandlers[m.ID] == nil {
 		panic(fmt.Sprintf("core: user AM for unregistered handler id %d", m.ID))
 	}
+	if o.userFn == nil {
+		o.userFn = o.runUser
+	}
 	o.step = asUserRan
 	o.hc.Block(o.userFn, o.stepFn)
 }

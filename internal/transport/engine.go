@@ -48,15 +48,11 @@ type HandlerCtx struct {
 	// backlog of inline-served messages runs in a loop.
 	serving, again bool
 
-	// races counts wakes that found the queue already drained by
-	// another context (the lost race that re-registers at the back).
-	races int64
-
 	// The body and continuation handed over by Block.
 	body func(p *sim.Proc)
 	then func()
 
-	wokeFn, acquiredFn, receivedFn, doneFn   func()
+	nextFn, acquiredFn, receivedFn, doneFn   func()
 	batchAcquiredFn, batchNextFn, batchSubFn func()
 	batchDoneFn, batchEndFn                  func()
 }
@@ -68,7 +64,7 @@ func (m *Machine) startHandlerCtxs(nd *Node) {
 	}
 	for c := 0; c < contexts; c++ {
 		hc := &HandlerCtx{m: m, nd: nd, q: m.Fab.Port(nd.ID).AM}
-		hc.wokeFn = hc.woke
+		hc.nextFn = hc.next
 		hc.acquiredFn = hc.acquired
 		hc.receivedFn = hc.received
 		hc.doneFn = hc.msgDone
@@ -128,23 +124,16 @@ func (m *Machine) HandlerResumes() int64 {
 	return n
 }
 
-// woke runs when a Push woke the context: another context may have
-// taken the message first, in which case next re-registers.
-func (hc *HandlerCtx) woke() {
-	if hc.q.Len() == 0 {
-		hc.races++
-	}
-	hc.next()
-}
-
-// next serves the next queued message, or waits for one.
+// next serves the next queued message, or waits for one. It is also
+// the wait's retry: woken by a Push, the context may find the message
+// taken by another context that got to it first, and re-registers.
 func (hc *HandlerCtx) next() {
 	if hc.serving {
 		hc.again = true
 		return
 	}
 	for {
-		raw, ok := hc.q.PopFn(hc.ct, hc.wokeFn)
+		raw, ok := hc.q.PopFn(hc.ct, hc.nextFn)
 		if !ok {
 			return
 		}

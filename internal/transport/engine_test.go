@@ -34,7 +34,9 @@ func TestHandlerCtxsKeepDispatcherOrder(t *testing.T) {
 	})
 	// B's push is scheduled before A's handler starts its sleep, so at
 	// 5us it runs first: it wakes amdisp1, then A's context finishes,
-	// pops B inline, and amdisp1 finds the queue drained.
+	// pops B inline, and amdisp1 finds the queue drained. It
+	// re-registers at the back, so it gets E; re-registered at the
+	// front, it would get C, and amdisp2 and amdisp3 D and E.
 	pushAt(k, m, 1, 1*sim.Us, hPing, "A")
 	pushAt(k, m, 1, 5*sim.Us, hPing, "B")
 	pushAt(k, m, 1, 10*sim.Us, hPing, "C")
@@ -46,13 +48,6 @@ func TestHandlerCtxsKeepDispatcherOrder(t *testing.T) {
 	const want = "A:node1.amdisp0 B:node1.amdisp0 C:node1.amdisp2 D:node1.amdisp3 E:node1.amdisp1 "
 	if got := order.String(); got != want {
 		t.Fatalf("service order\n got %s\nwant %s", got, want)
-	}
-	var races int64
-	for _, hc := range m.Nodes[1].ctxs {
-		races += hc.races
-	}
-	if races != 1 {
-		t.Fatalf("%d lost races, want 1", races)
 	}
 	// The dispatcher loop ran this scenario in 28 kernel events.
 	if ev := k.Events(); ev != 28 {

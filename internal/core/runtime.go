@@ -184,7 +184,7 @@ func (rt *Runtime) Run(body func(t *Thread)) (RunStats, error) {
 	rt.ran = true
 	// Whatever way the run ends — clean completion, Stop, an event
 	// limit, a deadlock error, or a panic unwinding through Run — the
-	// dispatcher daemons (and, on error paths, stranded program threads)
+	// handler-context daemons (and, on error paths, stranded program threads)
 	// are still suspended in their coroutines. Release them so repeated
 	// simulations (sweeps, benchmarks) do not accumulate goroutines.
 	defer rt.K.Shutdown()

@@ -6,10 +6,10 @@ package core
 // SVD resolution with requeue-on-unknown, base-address piggybacking
 // into the remote address cache, coalescing-aware reply framing and
 // span phase attribution all come for free. A handler runs on the
-// target node's AM dispatcher (a simulation process in both execution
-// modes, so handler-side Sleep and Resource.Acquire are parity-safe)
-// and returns the reply payload; request arguments travel as two
-// uint64s in the envelope, anything larger belongs in shared memory.
+// coroutine of the target node's AM handler context, so it may block
+// (Sleep, Resource.Acquire), and returns the reply payload; request
+// arguments travel as two uint64s in the envelope, anything larger
+// belongs in shared memory.
 
 import (
 	"fmt"
@@ -70,8 +70,8 @@ func (rt *Runtime) HandleUser(id UserHandlerID, h UserHandler) {
 }
 
 // UserCtx is the execution context a UserHandler receives: the target
-// node's state, the dispatcher process, and the resolved control block
-// of the request's anchor object.
+// node's state, the handler context's coroutine, and the resolved
+// control block of the request's anchor object.
 type UserCtx struct {
 	rt  *Runtime
 	ns  *nodeState
@@ -93,15 +93,15 @@ func (c *UserCtx) Args() (a, b uint64) { return c.req.A, c.req.B }
 // Now is the current virtual time.
 func (c *UserCtx) Now() sim.Time { return c.p.Now() }
 
-// Sleep advances the dispatcher (models handler compute).
+// Sleep advances the handler (models handler compute).
 func (c *UserCtx) Sleep(d sim.Duration) { c.p.Sleep(d) }
 
-// Proc exposes the dispatcher process for blocking primitives
-// (Resource.Acquire). Handlers run on the AM dispatcher in both
-// execution modes, so blocking here is parity-safe by construction.
+// Proc exposes the handler context's coroutine for blocking
+// primitives (Resource.Acquire). Handlers run on it in both execution
+// modes, so blocking here is parity-safe by construction.
 func (c *UserCtx) Proc() *sim.Proc { return c.p }
 
-// Acquire takes r on the dispatcher process.
+// Acquire takes r on the handler context's coroutine.
 func (c *UserCtx) Acquire(r *sim.Resource) { r.Acquire(c.p) }
 
 // checkLocal bounds-checks a local access against the anchor's chunk.

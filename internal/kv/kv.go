@@ -563,7 +563,7 @@ func (tb *Table) memoize(key uint64, ref slotRef) {
 // --- Home-node AM handlers ----------------------------------------------
 
 // registerHandlers installs the kv protocol in the runtime's user-AM
-// table. Handlers run on the target node's AM dispatcher and serialize
+// table. Handlers run on the target node's AM handler context and serialize
 // with local writers under the per-node shard lock, so everything they
 // read is consistent (even sequence words) and authoritative.
 func registerHandlers(rt *core.Runtime, g geom) {

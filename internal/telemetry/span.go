@@ -9,7 +9,7 @@ import (
 // Phase is one attributed interval inside a span: where a slice of the
 // operation's virtual time went. Phases are recorded by whichever
 // layer performed the work — the initiator (cache lookup, send), the
-// transport dispatchers (wire, cpu_wait, recv), or the target-side
+// transport's handler contexts (wire, cpu_wait, recv), or the target-side
 // handlers (svd_resolve, registration, copy) — and are non-overlapping
 // by construction, so their sum is the attributed part of the span.
 type Phase struct {

@@ -280,7 +280,7 @@ func (m *Machine) SendAM(p *sim.Proc, src, dst int, id HandlerID, meta any, payl
 
 // SendAMSpan is SendAM carrying a telemetry span: the initiator's send
 // phase (software overhead plus NIC injection) is attributed to it, and
-// the span rides with the message so the target's dispatcher and
+// the span rides with the message so the target's handler context and
 // handler attribute their phases into the same operation.
 func (m *Machine) SendAMSpan(p *sim.Proc, src, dst int, id HandlerID, meta any, payload []byte, extra int, span *telemetry.Span) {
 	m.SendAMSpanC(p.Cont(), src, dst, id, meta, payload, extra, span, p.WakeFn())

@@ -30,11 +30,11 @@ type pools struct {
 	calls []*procCall
 }
 
-// Retain marks the message as requeued by its handler: the dispatcher
-// must not recycle it after the handler returns, because the handler
-// scheduled it for redelivery (the SVD-miss retry path). The flag is
-// consumed by the dispatcher, so the message is again eligible for
-// recycling after its next service.
+// Retain marks the message as requeued by its handler: the handler
+// context must not recycle it when the handler is done, because the
+// handler scheduled it for redelivery (the SVD-miss retry path). The
+// flag is consumed by the context, so the message is again eligible
+// for recycling after its next service.
 func (m *Msg) Retain() { m.retained = true }
 
 func (m *Machine) newMsg() *Msg {

@@ -549,34 +549,69 @@ func (t *Thread) FreeC(a *SharedArray, then func()) {
 // dropObjectC performs the local part of a free on node ns: drop the
 // object's cached addresses, unpin and free its local piece, and mark
 // the handle freed. Remote free requests run it on their handler
-// context.
+// context. Its state lives in a pooled dropOp across the two waits.
 func (ns *nodeState) dropObjectC(ct *sim.Cont, h svd.Handle, then func()) {
-	afterInval := func() {
-		cb, ok := ns.dir.LookupAny(h)
-		if !ok {
-			panic(fmt.Sprintf("core: node %d freeing unknown object %v", ns.id, h))
-		}
-		finish := func() {
-			ns.dir.MarkFreed(h)
-			then()
-		}
-		if cb.HasLocal {
-			cost := ns.tn.Pins.Unpin(cb.LocalBase, ns.rt.K.Now())
-			ct.Sleep(cost, func() {
-				ns.tn.Mem.Free(cb.LocalBase)
-				finish()
-			})
-			return
-		}
-		finish()
+	rt := ns.rt
+	var d *dropOp
+	if n := len(rt.dropOps); n > 0 {
+		d = rt.dropOps[n-1]
+		rt.dropOps = rt.dropOps[:n-1]
+	} else {
+		d = &dropOp{}
+		d.stepFn = d.step
 	}
+	d.ns, d.ct, d.h, d.then = ns, ct, h, then
 	if ns.cache != nil {
-		n := ns.cache.InvalidateHandle(h.Key())
-		ct.Sleep(sim.Time(n)*ns.rt.cfg.Profile.CacheLookupCost, func() {
-			ns.rt.recordCacheInval(ns.id, -1, h.Key(), n)
-			afterInval()
-		})
+		d.n = ns.cache.InvalidateHandle(h.Key())
+		ct.Sleep(sim.Time(d.n)*rt.cfg.Profile.CacheLookupCost, d.stepFn)
 		return
 	}
-	afterInval()
+	d.unpin()
+}
+
+// dropOp is one dropObjectC in progress: waiting out the cache
+// invalidation's lookup cost, then the unpin cost.
+type dropOp struct {
+	ns       *nodeState
+	ct       *sim.Cont
+	h        svd.Handle
+	n        int      // cache entries invalidated
+	base     mem.Addr // the local piece, freed once unpinned
+	unpinned bool     // step resumes after the unpin, not the invalidation
+	then     func()
+	stepFn   func()
+}
+
+func (d *dropOp) step() {
+	if !d.unpinned {
+		d.ns.rt.recordCacheInval(d.ns.id, -1, d.h.Key(), d.n)
+		d.unpin()
+		return
+	}
+	d.ns.tn.Mem.Free(d.base)
+	d.finish()
+}
+
+func (d *dropOp) unpin() {
+	ns := d.ns
+	cb, ok := ns.dir.LookupAny(d.h)
+	if !ok {
+		panic(fmt.Sprintf("core: node %d freeing unknown object %v", ns.id, d.h))
+	}
+	if !cb.HasLocal {
+		d.finish()
+		return
+	}
+	d.unpinned, d.base = true, cb.LocalBase
+	d.ct.Sleep(ns.tn.Pins.Unpin(cb.LocalBase, ns.rt.K.Now()), d.stepFn)
+}
+
+// finish returns the record to the pool, marks the handle freed and
+// continues.
+func (d *dropOp) finish() {
+	ns, h, then := d.ns, d.h, d.then
+	*d = dropOp{stepFn: d.stepFn}
+	ns.rt.dropOps = append(ns.rt.dropOps, d)
+	ns.dir.MarkFreed(h)
+	then()
 }

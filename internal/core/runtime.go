@@ -57,8 +57,10 @@ type Runtime struct {
 	// userHandlers is the user-level AM dispatch table (useram.go).
 	userHandlers [maxUserHandlers]UserHandler
 
-	// amOps pools the records of messages in service (amop.go).
-	amOps []*amOp
+	// amOps pools the records of messages in service (amop.go), and
+	// dropOps those of local frees in progress (dropObjectC).
+	amOps   []*amOp
+	dropOps []*dropOp
 
 	// runLocal holds run-scoped host-side singletons (see RunLocal).
 	runLocal map[string]any

@@ -141,7 +141,9 @@ func (t *Thread) atomicRMWC(r Ref, op transport.AtomicOp, a1, a2 uint64, then fu
 	start := t.Now()
 	span := t.rt.tel.StartSpan("atomic", t.id, t.ns.id, start)
 	span.SetBytes(op.OperandBytes())
-	t.rt.tel.Add("xlupc_atomic_ops_total", op.Label(), 1)
+	if t.rt.tel != nil {
+		t.rt.tel.Add("xlupc_atomic_ops_total", `op="`+op.String()+`"`, 1)
+	}
 	o := t.ops()
 	o.x = nbSub{kind: nbAtomicAM, a: a, rn: int32(rn), off: off, span: span, start: start, aop: op, a1: a1, a2: a2}
 	o.xnb, o.xathen = false, then
@@ -215,7 +217,9 @@ func (t *Thread) nbAtomicC(r Ref, aop transport.AtomicOp, a1, a2 uint64, out *ui
 	}
 	span := t.rt.tel.StartSpan("atomic", t.id, t.ns.id, start)
 	span.SetBytes(aop.OperandBytes())
-	t.rt.tel.Add("xlupc_atomic_ops_total", aop.Label(), 1)
+	if t.rt.tel != nil {
+		t.rt.tel.Add("xlupc_atomic_ops_total", `op="`+aop.String()+`"`, 1)
+	}
 	t.nbIssue(nb, nbSub{kind: nbAtomicAM, a: a, rn: int32(rn), off: off, span: span, start: start,
 		aop: aop, a1: a1, a2: a2, out: out}, t.nbSingle(nb, then))
 }

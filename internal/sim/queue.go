@@ -4,14 +4,14 @@ package sim
 // or kernel callbacks) to consumers. It is the delivery point for
 // simulated network messages: the fabric schedules a Push at a
 // message's arrival time, and a callback engine drains it, either
-// waiting with PopFn or reacting to Notify with TryPop.
+// waiting with PopC or reacting to Notify with TryPop.
 type Queue[T any] struct {
 	k        *Kernel
 	name     string
 	popState string // precomputed park diagnostic
 	items    []T    // live window is items[head:]
 	head     int
-	waiters  []func() // consumers parked in Pop/PopC
+	waiters  []func() // parked Pop and PopC consumers
 	notify   func()   // callback consumer hook, invoked after each Push
 	pushes   int64
 	maxLen   int
@@ -90,28 +90,13 @@ func (q *Queue[T]) Pop(p *Proc) T {
 	return q.take()
 }
 
-// PopC removes the oldest item and passes it to fn, blocking a
-// continuation-mode thread until one is available — including the
-// re-check after a wake: if another consumer drained the queue first,
-// the continuation re-registers, exactly like Pop's loop.
-func (q *Queue[T]) PopC(ct *Cont, fn func(v T)) {
-	if q.Len() > 0 {
-		fn(q.take())
-		return
-	}
-	q.await(ct, func() {
-		ct.unblock()
-		q.PopC(ct, fn)
-	})
-}
-
-// PopFn is the zero-alloc form of PopC for a pre-bound retry: it
-// removes and returns the oldest item when one is queued; otherwise it
-// registers retry to be woken by the next Push and reports false.
-// retry must call PopFn again — another consumer may have drained the
-// queue first — which keeps Pop's FIFO waiter order, re-registration
-// at the back after a lost race included.
-func (q *Queue[T]) PopFn(ct *Cont, retry func()) (v T, ok bool) {
+// PopC is the callback form of Pop for a continuation with a
+// pre-bound retry: it removes and returns the oldest item when one is
+// queued; otherwise it registers retry to be woken by the next Push
+// and reports false. retry must call PopC again — another consumer may
+// have drained the queue first — which keeps Pop's FIFO waiter order,
+// re-registration at the back after a lost race included.
+func (q *Queue[T]) PopC(ct *Cont, retry func()) (v T, ok bool) {
 	if q.Len() > 0 {
 		return q.take(), true
 	}

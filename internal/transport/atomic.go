@@ -48,22 +48,6 @@ func (op AtomicOp) String() string {
 	return "unknown"
 }
 
-// atomicLabels are the op="…" metric labels of the atomic ops, built
-// once so counting an op allocates nothing.
-var atomicLabels = [...]string{
-	AtomicFetchAdd:    `op="fetchadd"`,
-	AtomicCompareSwap: `op="cas"`,
-	AtomicAccumulate:  `op="accumulate"`,
-}
-
-// Label is the op's metric label, op="<String()>".
-func (op AtomicOp) Label() string {
-	if int(op) < len(atomicLabels) {
-		return atomicLabels[op]
-	}
-	return `op="unknown"`
-}
-
 // OperandBytes is the operand payload riding with the descriptor.
 func (op AtomicOp) OperandBytes() int {
 	if op == AtomicCompareSwap {

@@ -200,11 +200,10 @@ func (c *coalescer) frame(b *coalBuf) (any, int) {
 	c.stats.SavedBytes += saved
 	c.m.Tel.Add("xlupc_coalesce_frames_total", "", 1)
 	if saved >= 0 {
-		c.m.Tel.Add("xlupc_coalesce_saved_bytes_total", "", saved)
-	} else {
 		// A one-message frame pays its sub-header on top of the full
-		// header; counters only grow, so the loss is counted apart.
-		c.m.Tel.Add("xlupc_coalesce_extra_bytes_total", "", -saved)
+		// header; counters only grow, so only CoalStats.SavedBytes
+		// records that loss.
+		c.m.Tel.Add("xlupc_coalesce_saved_bytes_total", "", saved)
 	}
 	c.m.FR.Record(b.key.src, flight.Event{
 		T: c.m.K.Now(), Kind: flight.KindCoalFlush, Class: flclass(b.key.class),

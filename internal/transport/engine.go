@@ -133,7 +133,7 @@ func (hc *HandlerCtx) next() {
 		return
 	}
 	for {
-		raw, ok := hc.q.PopFn(hc.ct, hc.nextFn)
+		raw, ok := hc.q.PopC(hc.ct, hc.nextFn)
 		if !ok {
 			return
 		}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"xlupc/internal/fabric"
 	"xlupc/internal/mem"
 	"xlupc/internal/sim"
 )
@@ -462,20 +461,5 @@ func TestRDMAGetNackUnderLimitedPinning(t *testing.T) {
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// The precomputed metric labels render the same text the label
-// concatenation they replace did.
-func TestMetricLabelsMatchNames(t *testing.T) {
-	for _, op := range []AtomicOp{AtomicFetchAdd, AtomicCompareSwap, AtomicAccumulate, AtomicAccumulate + 1} {
-		if got, want := op.Label(), `op="`+op.String()+`"`; got != want {
-			t.Errorf("AtomicOp(%d).Label() = %s, want %s", op, got, want)
-		}
-	}
-	for _, c := range []fabric.Class{fabric.ClassAM, fabric.ClassDMA} {
-		if got, want := classMetric(c), `class="`+classLabel(c)+`"`; got != want {
-			t.Errorf("classMetric(%d) = %s, want %s", c, got, want)
-		}
 	}
 }

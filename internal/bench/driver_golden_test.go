@@ -94,3 +94,26 @@ func TestDriverGolden(t *testing.T) {
 	})
 	checkGolden(t, "driver/kv", fingerprint{kvr.Run.KernelEvents, kvr.Elapsed, resultDigest(kvr)})
 }
+
+// TestKVHazardGolden pins one KV SLO-curve point under packet loss and
+// one under crashes, on LAPI so the user AMs spread over four handler
+// contexts: retransmits, duplicate suppression, parked packets and
+// crash recovery all reorder target-side work, and a change in that
+// order moves these rows.
+func TestKVHazardGolden(t *testing.T) {
+	sc := Scale{Threads: 8, Nodes: 4}
+	o := KVOpts{Ops: 60, Keys: 512, Theta: 0.9, ReadFrac: 0.5, Rate: 120000, Seed: 5}
+
+	loss := KVLossCurve(transport.LAPI(), sc, []float64{0.02}, o)[0]
+	if loss.Result.Run.Retransmits == 0 || loss.Result.Run.DupSuppressed == 0 {
+		t.Errorf("loss point retransmitted %d and suppressed %d packets, want both > 0",
+			loss.Result.Run.Retransmits, loss.Result.Run.DupSuppressed)
+	}
+	checkGolden(t, "driver/kv-loss", fingerprint{loss.Result.Run.KernelEvents, loss.Result.Elapsed, resultDigest(loss)})
+
+	crash := KVCrashCurve(transport.LAPI(), sc, []float64{0.5}, 150, o)[0]
+	if crash.Result.Run.Crashes == 0 {
+		t.Errorf("crash point crashed no nodes")
+	}
+	checkGolden(t, "driver/kv-crash", fingerprint{crash.Result.Run.KernelEvents, crash.Result.Elapsed, resultDigest(crash)})
+}

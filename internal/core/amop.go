@@ -4,8 +4,8 @@ package core
 // callbacks on the handler context that took its message
 // (transport.HandlerCtx): the per-message state lives in a pooled amOp
 // record whose one pre-bound step func resumes it after each wait, so
-// serving a message builds no closures and switches no coroutine. Only
-// a user handler's body runs on the context's coroutine (useram.go).
+// serving a message builds no closures and switches no coroutine. A
+// user handler runs the same way, through its UserCtx (useram.go).
 //
 // A request handler resolves its handle in the node's SVD replica,
 // optionally pins and advertises the chunk, does its own work and
@@ -31,7 +31,7 @@ const (
 	asResolved   amStep = iota // the SVD lookup cost elapsed
 	asPinned                   // the registration cost elapsed
 	asServed                   // the handler's own work elapsed
-	asUserRan                  // the user handler body returned
+	asUserLocal                // a user handler's local access cost elapsed
 	asCopied                   // a reply's copy-out elapsed
 	asInsertOwn                // the replier's own address insert cost elapsed
 	asInsertPair               // a piggybacked pair's insert cost elapsed
@@ -54,12 +54,15 @@ type amOp struct {
 	epoch uint32
 	pairs []addrPair // reply: extra piggybacked pairs
 	ipos  int        // reply: the next pair to insert
-	reply []byte     // user request: the handler's reply payload
-	uctx  UserCtx
+
+	// User request: the handler's context, kept across reuse so a late
+	// second Reply still finds its flag, and its reply payload.
+	uctx *UserCtx
+	rbuf [maxUserReply]byte
+	rlen int
 
 	stepFn   func()
 	finishFn func()
-	userFn   func(p *sim.Proc) // runUser, bound on the record's first user AM
 }
 
 func (rt *Runtime) newAMOp(hc *transport.HandlerCtx, msg *transport.Msg, done func()) *amOp {
@@ -80,7 +83,7 @@ func (rt *Runtime) newAMOp(hc *transport.HandlerCtx, msg *transport.Msg, done fu
 // context the message is served.
 func (o *amOp) finish() {
 	done := o.done
-	*o = amOp{rt: o.rt, stepFn: o.stepFn, finishFn: o.finishFn, userFn: o.userFn}
+	*o = amOp{rt: o.rt, stepFn: o.stepFn, finishFn: o.finishFn, uctx: o.uctx}
 	o.rt.amOps = append(o.rt.amOps, o)
 	done()
 }
@@ -103,8 +106,8 @@ func (o *amOp) resume() {
 		o.pinned()
 	case asServed:
 		o.served()
-	case asUserRan:
-		o.userRan()
+	case asUserLocal:
+		o.uctx.accessed()
 	case asCopied:
 		o.msg.Span.Phase(telemetry.PhaseCopy, o.t0, o.now())
 		o.insert()

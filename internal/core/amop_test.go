@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"xlupc/internal/sim"
@@ -54,9 +57,34 @@ func builtinHandlersBody(th *Thread) {
 	th.Barrier()
 }
 
-// A built-in handler never runs on a handler context's coroutine: a
-// run with no user AMs resumes none after its start event, on one
-// context (GM), four (LAPI) and with coalesced frames.
+// extraGoroutines builds a runtime from c, lets setup register its
+// handlers, runs body and reports how many live goroutines thread 0
+// saw, from inside its running body, beyond those before the runtime
+// was built and one coroutine per program thread.
+func extraGoroutines(t *testing.T, c Config, setup func(rt *Runtime), body func(th *Thread)) (*Runtime, int) {
+	t.Helper()
+	baseline := runtime.NumGoroutine()
+	rt, err := NewRuntime(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	setup(rt)
+	extra := 0
+	if _, err := rt.Run(func(th *Thread) {
+		if th.ID() == 0 {
+			extra = runtime.NumGoroutine() - baseline - th.Threads()
+		}
+		body(th)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return rt, extra
+}
+
+// No handler runs on a coroutine: while a run serves every built-in
+// handler and user AMs, on one context (GM), four (LAPI) and with
+// coalesced frames, the only goroutines beyond the test's own are the
+// program threads' coroutines.
 func TestBuiltinHandlersRunOffCoroutine(t *testing.T) {
 	coal := transport.DefaultCoalConfig()
 	for _, c := range []struct {
@@ -72,41 +100,53 @@ func TestBuiltinHandlersRunOffCoroutine(t *testing.T) {
 			return c
 		}()},
 	} {
-		rt, err := NewRuntime(c.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := rt.Run(builtinHandlersBody); err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+		rt, n := extraGoroutines(t, c.cfg, func(*Runtime) {}, builtinHandlersBody)
+		if n != 0 {
+			t.Errorf("%s: %d goroutines beyond the program threads", c.name, n)
 		}
 		if rt.M.AMCount() == 0 {
 			t.Fatalf("%s: no active messages sent", c.name)
 		}
-		if n := rt.M.HandlerResumes(); n != 0 {
-			t.Errorf("%s: handler coroutines resumed %d times serving built-in handlers", c.name, n)
-		}
 	}
 
-	// A user AM does run its body on the coroutine.
-	rt, err := NewRuntime(cfg(4, 2, transport.LAPI(), DefaultCache()))
+	echo := func(rt *Runtime) {
+		rt.HandleUser(0, func(c *UserCtx) {
+			a, _ := c.Args()
+			c.SleepC(sim.Us, func() { c.Reply([]byte{byte(a) + 1}) })
+		})
+	}
+	if _, n := extraGoroutines(t, cfg(4, 2, transport.LAPI(), DefaultCache()), echo, func(th *Thread) {
+		a := th.AllAlloc("a", int64(th.Threads()), 8, 1)
+		var rep [1]byte
+		if n := th.CallAM(a, (th.Node()+1)%2, 0, uint64(th.Node()), 0, 0, rep[:], "user"); n != 1 || rep[0] != byte(th.Node())+1 {
+			t.Errorf("thread %d: reply %v (%d bytes), want [%d]", th.ID(), rep, n, th.Node()+1)
+		}
+	}); n != 0 {
+		t.Errorf("user AMs: %d goroutines beyond the program threads", n)
+	}
+}
+
+// A user handler that replies twice panics, naming the handler.
+func TestUserHandlerReplyTwicePanics(t *testing.T) {
+	rt, err := NewRuntime(cfg(2, 2, transport.LAPI(), DefaultCache()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.HandleUser(0, func(c *UserCtx) []byte {
-		c.Sleep(sim.Us)
-		return []byte{1}
+	rt.HandleUser(3, func(c *UserCtx) {
+		c.Reply(nil)
+		c.Reply(nil)
 	})
-	if _, err := rt.Run(func(th *Thread) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "user handler 3 replied twice") {
+			t.Fatalf("recovered %v, want a double-reply panic naming handler 3", r)
+		}
+	}()
+	rt.Run(func(th *Thread) {
 		a := th.AllAlloc("a", int64(th.Threads()), 8, 1)
-		var rep [1]byte
-		th.CallAM(a, (th.Node()+1)%2, 0, 0, 0, 0, rep[:], "user")
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Each body is handed over once and woken once from its sleep.
-	if n := rt.M.HandlerResumes(); n != 2*4 {
-		t.Errorf("user AMs resumed handler coroutines %d times, want %d", n, 2*4)
-	}
+		if th.ID() == 0 {
+			th.CallAM(a, 1, 3, 0, 0, 0, nil, "user")
+		}
+	})
 }
 
 // A request whose handle the target does not know yet — the allocation

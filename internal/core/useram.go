@@ -5,11 +5,12 @@ package core
 // protocols over the same machinery the runtime's GET/PUT AMs use —
 // SVD resolution with requeue-on-unknown, base-address piggybacking
 // into the remote address cache, coalescing-aware reply framing and
-// span phase attribution all come for free. A handler runs on the
-// coroutine of the target node's AM handler context, so it may block
-// (Sleep, Resource.Acquire), and returns the reply payload; request
-// arguments travel as two uint64s in the envelope, anything larger
-// belongs in shared memory.
+// span phase attribution all come for free. A handler runs as kernel
+// callbacks on the target node's AM handler context, like every
+// built-in handler: it waits only through the UserCtx's …C primitives
+// and ends with Reply. Request arguments travel as two uint64s in the
+// envelope and the reply is at most two words; anything larger belongs
+// in shared memory.
 
 import (
 	"fmt"
@@ -29,11 +30,13 @@ type UserHandlerID uint8
 // maxUserHandlers bounds the user handler table.
 const maxUserHandlers = 8
 
-// UserHandler executes one user AM at the target node and returns the
-// reply payload. The returned slice must be freshly allocated (or
-// immutable): concurrent AMs at one node interleave at sleep points,
-// so a shared scratch buffer would tear replies.
-type UserHandler func(c *UserCtx) []byte
+// maxUserReply bounds a user AM's reply payload: two words.
+const maxUserReply = 16
+
+// UserHandler executes one user AM at the target node. It must not
+// block: each …C primitive of the UserCtx takes the rest of the handler
+// as its callback. The handler ends by calling Reply exactly once.
+type UserHandler func(c *UserCtx)
 
 // userReq is the user-AM request envelope. A and B are the operation's
 // arguments; H anchors SVD resolution and address piggybacking.
@@ -45,14 +48,15 @@ type userReq struct {
 	Done     *sim.Completion // initiator-side; completed by the reply
 }
 
-// userRep carries the handler's reply payload plus the piggybacked
-// base address, exactly like getRep.
+// userRep carries the piggybacked base address, exactly like getRep,
+// and the storage of the handler's reply payload.
 type userRep struct {
 	H     svd.Handle
 	Base  mem.Addr
 	Epoch uint32
 	Done  *sim.Completion
 	Pairs []addrPair
+	Data  [maxUserReply]byte
 }
 
 // HandleUser registers h under id for this run. Must be called before
@@ -70,83 +74,103 @@ func (rt *Runtime) HandleUser(id UserHandlerID, h UserHandler) {
 }
 
 // UserCtx is the execution context a UserHandler receives: the target
-// node's state, the handler context's coroutine, and the resolved
-// control block of the request's anchor object.
+// node's state, the handler context's continuation, and the resolved
+// control block of the request's anchor object. It lives on the
+// request's pooled record.
 type UserCtx struct {
-	rt  *Runtime
-	ns  *nodeState
-	p   *sim.Proc
-	msg *transport.Msg
-	req *userReq
-	cb  *svd.ControlBlock
+	o       *amOp
+	req     *userReq
+	replied bool
+
+	// The local access in flight: ReadLocalC/WriteLocalC touch memory
+	// once its cost has elapsed, then run then.
+	off   int64
+	buf   []byte
+	write bool
+	then  func()
 }
-
-// Node is the node the handler executes on.
-func (c *UserCtx) Node() int { return c.ns.id }
-
-// Src is the requesting node.
-func (c *UserCtx) Src() int { return c.msg.Src }
 
 // Args returns the request's two argument words.
 func (c *UserCtx) Args() (a, b uint64) { return c.req.A, c.req.B }
 
-// Now is the current virtual time.
-func (c *UserCtx) Now() sim.Time { return c.p.Now() }
+// SleepC runs then after d of virtual time (models handler compute).
+func (c *UserCtx) SleepC(d sim.Duration, then func()) { c.o.hc.Cont().Sleep(d, then) }
 
-// Sleep advances the handler (models handler compute).
-func (c *UserCtx) Sleep(d sim.Duration) { c.p.Sleep(d) }
-
-// Proc exposes the handler context's coroutine for blocking
-// primitives (Resource.Acquire). Handlers run on it in both execution
-// modes, so blocking here is parity-safe by construction.
-func (c *UserCtx) Proc() *sim.Proc { return c.p }
-
-// Acquire takes r on the handler context's coroutine.
-func (c *UserCtx) Acquire(r *sim.Resource) { r.Acquire(c.p) }
+// AcquireC takes r on the handler context, then runs then holding it.
+func (c *UserCtx) AcquireC(r *sim.Resource, then func()) { r.AcquireCont(c.o.hc.Cont(), then) }
 
 // checkLocal bounds-checks a local access against the anchor's chunk.
 func (c *UserCtx) checkLocal(off int64, n int) {
-	if !c.cb.HasLocal {
-		panic(fmt.Sprintf("core: user AM local access to %v on node %d, which owns no piece", c.cb.Handle, c.ns.id))
+	cb := c.o.cb
+	if !cb.HasLocal {
+		panic(fmt.Sprintf("core: user AM local access to %v on node %d, which owns no piece", cb.Handle, c.o.ns.id))
 	}
-	if off < 0 || off+int64(n) > int64(c.cb.LocalSize) {
+	if off < 0 || off+int64(n) > int64(cb.LocalSize) {
 		panic(fmt.Sprintf("core: user AM local access [%d,%d) outside %v chunk of %d bytes",
-			off, off+int64(n), c.cb.Handle, c.cb.LocalSize))
+			off, off+int64(n), cb.Handle, cb.LocalSize))
 	}
 }
 
-// ReadLocal reads len(dst) bytes at byte offset off of the anchor
+// ReadLocalC reads len(dst) bytes at byte offset off of the anchor
 // object's local chunk, paying the same shared-memory cost a local
-// thread access would.
-func (c *UserCtx) ReadLocal(off int64, dst []byte) {
-	c.checkLocal(off, len(dst))
-	prof := c.rt.cfg.Profile
-	c.p.Sleep(prof.ShmLatency + sim.BytesTime(len(dst), prof.ShmByteTime))
-	c.ns.tn.Mem.Read(dst, c.cb.LocalBase+mem.Addr(off))
+// thread access would, then runs then.
+func (c *UserCtx) ReadLocalC(off int64, dst []byte, then func()) { c.local(off, dst, false, then) }
+
+// WriteLocalC writes src at byte offset off of the anchor object's
+// local chunk, then runs then. src must stay unchanged until then runs.
+func (c *UserCtx) WriteLocalC(off int64, src []byte, then func()) { c.local(off, src, true, then) }
+
+func (c *UserCtx) local(off int64, b []byte, write bool, then func()) {
+	c.checkLocal(off, len(b))
+	c.off, c.buf, c.write, c.then = off, b, write, then
+	prof := c.o.prof()
+	c.o.wait(prof.ShmLatency+sim.BytesTime(len(b), prof.ShmByteTime), asUserLocal)
 }
 
-// WriteLocal writes src at byte offset off of the anchor object's
-// local chunk.
-func (c *UserCtx) WriteLocal(off int64, src []byte) {
-	c.checkLocal(off, len(src))
-	prof := c.rt.cfg.Profile
-	c.p.Sleep(prof.ShmLatency + sim.BytesTime(len(src), prof.ShmByteTime))
-	c.ns.tn.Mem.Write(c.cb.LocalBase+mem.Addr(off), src)
+// accessed touches memory once a local access's cost has elapsed. The
+// address is taken now: a crash during the wait may relocate the chunk.
+func (c *UserCtx) accessed() {
+	at := c.o.cb.LocalBase + mem.Addr(c.off)
+	b, then := c.buf, c.then
+	c.buf, c.then = nil, nil
+	if c.write {
+		c.o.ns.tn.Mem.Write(at, b)
+	} else {
+		c.o.ns.tn.Mem.Read(b, at)
+	}
+	then()
+}
+
+// Reply ends the handler with payload p (at most maxUserReply bytes),
+// copied into the request's pooled reply buffer, and continues the
+// request: the reply pays its bounce-buffer copy and is sent. A handler
+// that replies twice panics.
+func (c *UserCtx) Reply(p []byte) {
+	if c.replied {
+		panic(fmt.Sprintf("core: user handler %d replied twice", c.req.ID))
+	}
+	if len(p) > maxUserReply {
+		panic(fmt.Sprintf("core: user handler %d reply of %d bytes exceeds %d", c.req.ID, len(p), maxUserReply))
+	}
+	c.replied = true
+	c.o.rlen = copy(c.o.rbuf[:], p)
+	c.o.userRan()
 }
 
 // NodeLocal returns the node-scoped singleton under key, building it
 // on first use — per-node locks and counters for user protocols.
 func (c *UserCtx) NodeLocal(key string, build func(k *sim.Kernel) any) any {
-	return c.ns.nodeLocal(key, build)
+	return c.o.ns.nodeLocal(key, build)
 }
 
 // ChunkOffset translates a global element index of the anchor object
-// into a byte offset inside this node's chunk, for ReadLocal/WriteLocal.
-// Handlers work in the same global indices initiators use; the layout
-// arithmetic (block-cyclic distribution, per-thread regions) lives here.
+// into a byte offset inside this node's chunk, for ReadLocalC and
+// WriteLocalC. Handlers work in the same global indices initiators use;
+// the layout arithmetic (block-cyclic distribution, per-thread regions)
+// lives here.
 func (c *UserCtx) ChunkOffset(idx int64) int64 {
-	l := NewLayout(c.rt.cfg.Threads, c.rt.cfg.ThreadsPerNode(), c.cb.ElemSize, c.cb.Block, c.cb.NumElems)
-	return l.ChunkOffset(idx)
+	cfg, cb := c.o.rt.cfg, c.o.cb
+	return NewLayout(cfg.Threads, cfg.ThreadsPerNode(), cb.ElemSize, cb.Block, cb.NumElems).ChunkOffset(idx)
 }
 
 func (ns *nodeState) nodeLocal(key string, build func(k *sim.Kernel) any) any {
@@ -165,45 +189,44 @@ func (ns *nodeState) nodeLocal(key string, build func(k *sim.Kernel) any) any {
 
 // handleUserReq mirrors handleGetReq: resolve, optionally pin and
 // advertise, run the user handler, and reply with its payload (paying
-// the bounce-buffer copy cost the eager path always pays). Only the
-// user handler's body runs on the handler context's coroutine.
+// the bounce-buffer copy cost the eager path always pays).
 func (rt *Runtime) handleUserReq(hc *transport.HandlerCtx, msg *transport.Msg, done func()) {
 	m := msg.Meta.(*userReq)
 	rt.request(hc, msg, done, m.H, m.WantAddr)
 }
 
-// startUser hands the user handler to the context's coroutine.
+// startUser runs the user handler on the record's UserCtx.
 func (o *amOp) startUser() {
 	m := o.msg.Meta.(*userReq)
-	if o.rt.userHandlers[m.ID] == nil {
+	h := o.rt.userHandlers[m.ID]
+	if h == nil {
 		panic(fmt.Sprintf("core: user AM for unregistered handler id %d", m.ID))
 	}
-	if o.userFn == nil {
-		o.userFn = o.runUser
+	if o.uctx == nil {
+		o.uctx = &UserCtx{}
 	}
-	o.step = asUserRan
-	o.hc.Block(o.userFn, o.stepFn)
-}
-
-// runUser is userFn: the user handler body, on the coroutine p.
-func (o *amOp) runUser(p *sim.Proc) {
-	m := o.msg.Meta.(*userReq)
-	o.uctx = UserCtx{rt: o.rt, ns: o.ns, p: p, msg: o.msg, req: m, cb: o.cb}
-	o.reply = o.rt.userHandlers[m.ID](&o.uctx)
-	o.uctx = UserCtx{}
+	*o.uctx = UserCtx{o: o, req: m}
+	h(o.uctx)
 }
 
 // userRan charges the reply's copy into the bounce buffer.
 func (o *amOp) userRan() {
 	o.t0 = o.now()
-	o.wait(sim.BytesTime(len(o.reply), o.prof().CopyByteTime), asServed)
+	o.wait(sim.BytesTime(o.rlen, o.prof().CopyByteTime), asServed)
 }
 
+// userServed sends the reply. The payload travels in the reply's own
+// record, so the pooled buffer is free again at once.
 func (o *amOp) userServed() {
 	m := o.msg.Meta.(*userReq)
 	o.msg.Span.Phase(telemetry.PhaseCopy, o.t0, o.now())
 	pairs, extra := pairsFor(o.msg, m.H, o.base, o.epoch)
-	o.replyTo(hUserRep, &userRep{H: m.H, Base: o.base, Epoch: o.epoch, Done: m.Done, Pairs: pairs}, o.reply, extra)
+	rep := &userRep{H: m.H, Base: o.base, Epoch: o.epoch, Done: m.Done, Pairs: pairs, Data: o.rbuf}
+	var payload []byte
+	if o.rlen > 0 {
+		payload = rep.Data[:o.rlen]
+	}
+	o.replyTo(hUserRep, rep, payload, extra)
 }
 
 // handleUserRep mirrors handleGetRep: copy out, absorb piggybacked

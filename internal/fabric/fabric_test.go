@@ -7,6 +7,16 @@ import (
 	"xlupc/internal/sim"
 )
 
+// pop takes the oldest item of q, suspending p until one is queued.
+func pop(p *sim.Proc, q *sim.Queue[any]) any {
+	for {
+		if v, ok := q.PopC(p.Cont(), p.WakeFn()); ok {
+			return v
+		}
+		p.Suspend()
+	}
+}
+
 func TestCrossbar3Hops(t *testing.T) {
 	c := NewCrossbar3(512, 16, 8)
 	cases := []struct{ a, b, want int }{
@@ -97,7 +107,7 @@ func TestInjectDeliversAtWireTime(t *testing.T) {
 		sentDone = p.Now()
 	})
 	k.Spawn("receiver", func(p *sim.Proc) {
-		got = f.Port(1).AM.Pop(p)
+		got = pop(p, f.Port(1).AM)
 		arrived = p.Now()
 	})
 	if err := k.Run(); err != nil {
@@ -130,8 +140,8 @@ func TestInjectClassesSeparateQueues(t *testing.T) {
 		f.Inject(p, 0, 1, 10, ClassDMA, "dma")
 		tx.Release()
 	})
-	k.Spawn("amrecv", func(p *sim.Proc) { am = f.Port(1).AM.Pop(p) })
-	k.Spawn("dmarecv", func(p *sim.Proc) { dma = f.Port(1).DMA.Pop(p) })
+	k.Spawn("amrecv", func(p *sim.Proc) { am = pop(p, f.Port(1).AM) })
+	k.Spawn("dmarecv", func(p *sim.Proc) { dma = pop(p, f.Port(1).DMA) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +163,7 @@ func TestTXContentionSerializesInjection(t *testing.T) {
 			tx.Release()
 		})
 		k.Spawn("recv", func(p *sim.Proc) {
-			f.Port(dst).AM.Pop(p)
+			pop(p, f.Port(dst).AM)
 			arrivals = append(arrivals, p.Now())
 		})
 	}
@@ -200,7 +210,7 @@ func TestMessagesArriveInOrderPerSender(t *testing.T) {
 	})
 	k.Spawn("recv", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
-			got = append(got, f.Port(1).AM.Pop(p).(int))
+			got = append(got, pop(p, f.Port(1).AM).(int))
 		}
 	})
 	if err := k.Run(); err != nil {

@@ -258,6 +258,7 @@ func (tb *Table) Get(t *core.Thread, key uint64) (uint64, bool) {
 		return tb.amGet(t, home, key)
 	}
 	b0 := g.bucketOf(key)
+	var pr probe
 	for w := int64(0); w < probeWindow; w++ {
 		idx := g.lineIdx(shard, (b0+w)%g.buckets)
 		t.GetBulk(tb.line[:], tb.a.At(idx))
@@ -275,36 +276,44 @@ func (tb *Table) Get(t *core.Thread, key uint64) (uint64, bool) {
 			t.Sleep(rereadBackoff)
 			t.GetBulk(tb.line[:], tb.a.At(idx))
 		}
-		if v, ok, stop := scanLine(tb.line[:], key); stop {
-			if ok {
+		if pr.scan(tb.line[:], key, idx) {
+			if pr.hitOK {
 				tb.Stats.Found++
-			} else {
-				tb.Stats.Misses++
+				return binary.LittleEndian.Uint64(tb.line[16+16*pr.hit.slot:]), true
 			}
-			return v, ok
+			break
 		}
 	}
 	tb.Stats.Misses++
 	return 0, false
 }
 
-// scanLine inspects a consistent bucket line for key: (value, found,
-// stop). stop is false only when the line is full of other live keys
-// or tombstones, i.e. probing must continue.
-func scanLine(line []byte, key uint64) (v uint64, ok, stop bool) {
+// probe is a probe-window scan in progress: the key's slot once found,
+// and the first free (empty or tombstone) slot seen so far.
+type probe struct {
+	hit, free     slotRef
+	hitOK, freeOK bool
+}
+
+// scan inspects one consistent bucket line, element index idx, for key.
+// It reports whether probing can stop: the key was found, or an empty
+// slot proves it is nowhere later in the window (inserts fill the first
+// free slot and deletes only ever write tombstones).
+func (pr *probe) scan(line []byte, key uint64, idx int64) bool {
 	for s := 0; s < slotsPerBucket; s++ {
 		k := binary.LittleEndian.Uint64(line[8+16*s:])
 		if k == key {
-			return binary.LittleEndian.Uint64(line[16+16*s:]), true, true
+			pr.hit, pr.hitOK = slotRef{idx, s}, true
+			return true
+		}
+		if (k == emptyKey || k == tombstone) && !pr.freeOK {
+			pr.free, pr.freeOK = slotRef{idx, s}, true
 		}
 		if k == emptyKey {
-			// Inserts fill the first free slot and deletes only ever
-			// write tombstones, so an empty slot proves the key is
-			// nowhere later in the window.
-			return 0, false, true
+			return true
 		}
 	}
-	return 0, false, false
+	return false
 }
 
 func (tb *Table) amGet(t *core.Thread, home int, key uint64) (uint64, bool) {
@@ -365,55 +374,22 @@ func checkKey(key uint64) {
 	}
 }
 
-// scan walks the probe window under the shard lock, returning the
-// key's slot if present, else the first free (empty or tombstone)
-// slot. Reads go through the thread's local GET path (the caller holds
-// the shard's home-node lock, so lines are consistent).
-func (tb *Table) scan(t *core.Thread, key uint64) (hit, free slotRef, hitOK, freeOK bool) {
+// scan walks the probe window under the shard lock for the key's slot
+// and the first free one. Reads go through the thread's local GET path
+// (the caller holds the shard's home-node lock, so lines are
+// consistent).
+func (tb *Table) scan(t *core.Thread, key uint64) (pr probe) {
 	g := tb.g
 	shard := g.shardOf(key)
 	b0 := g.bucketOf(key)
 	for w := int64(0); w < probeWindow; w++ {
 		idx := g.lineIdx(shard, (b0+w)%g.buckets)
 		t.GetBulk(tb.line[:], tb.a.At(idx))
-		hit, free, hitOK, freeOK = scanLineWrite(tb.line[:], key, idx, free, freeOK)
-		if hitOK || stopAtEmpty(tb.line[:]) {
-			return
+		if pr.scan(tb.line[:], key, idx) {
+			break
 		}
 	}
-	return
-}
-
-// scanLineWrite is the write-path per-line scan: find key, and track
-// the first free slot across lines.
-func scanLineWrite(line []byte, key uint64, idx int64, free slotRef, freeOK bool) (slotRef, slotRef, bool, bool) {
-	for s := 0; s < slotsPerBucket; s++ {
-		k := binary.LittleEndian.Uint64(line[8+16*s:])
-		if k == key {
-			return slotRef{idx, s}, free, true, freeOK
-		}
-		if (k == emptyKey || k == tombstone) && !freeOK {
-			free, freeOK = slotRef{idx, s}, true
-		}
-		if k == emptyKey {
-			// Empty proves absence; the free slot is already recorded.
-			return slotRef{}, free, false, freeOK
-		}
-	}
-	return slotRef{}, free, false, freeOK
-}
-
-func isEmptySlot(line []byte, s int) bool {
-	return binary.LittleEndian.Uint64(line[8+16*s:]) == emptyKey
-}
-
-func stopAtEmpty(line []byte) bool {
-	for s := 0; s < slotsPerBucket; s++ {
-		if isEmptySlot(line, s) {
-			return true
-		}
-	}
-	return false
+	return pr
 }
 
 // writeSlot runs the seqlock write protocol on tgt: seq goes odd, the
@@ -445,15 +421,15 @@ func (tb *Table) deleteSlot(t *core.Thread, tgt slotRef) {
 func (tb *Table) directPut(t *core.Thread, key, val uint64) bool {
 	lock := tb.lock(t)
 	t.Acquire(lock)
-	hit, free, hitOK, freeOK := tb.scan(t, key)
-	tgt := hit
-	if !hitOK {
-		if !freeOK {
+	pr := tb.scan(t, key)
+	tgt := pr.hit
+	if !pr.hitOK {
+		if !pr.freeOK {
 			lock.Release()
 			tb.Stats.Overflows++
 			return false
 		}
-		tgt = free
+		tgt = pr.free
 	}
 	tb.writeSlot(t, tgt, key, val)
 	lock.Release()
@@ -463,12 +439,12 @@ func (tb *Table) directPut(t *core.Thread, key, val uint64) bool {
 func (tb *Table) directDelete(t *core.Thread, key uint64) bool {
 	lock := tb.lock(t)
 	t.Acquire(lock)
-	hit, _, hitOK, _ := tb.scan(t, key)
-	if !hitOK {
+	pr := tb.scan(t, key)
+	if !pr.hitOK {
 		lock.Release()
 		return false
 	}
-	tb.deleteSlot(t, hit)
+	tb.deleteSlot(t, pr.hit)
 	lock.Release()
 	return true
 }
@@ -521,6 +497,7 @@ func (tb *Table) locate(t *core.Thread, key uint64) (slotRef, bool) {
 	g := tb.g
 	shard := g.shardOf(key)
 	b0 := g.bucketOf(key)
+	var pr probe
 	for w := int64(0); w < probeWindow; w++ {
 		idx := g.lineIdx(shard, (b0+w)%g.buckets)
 		t.GetBulk(tb.line[:], tb.a.At(idx))
@@ -528,29 +505,14 @@ func (tb *Table) locate(t *core.Thread, key uint64) (slotRef, bool) {
 			t.Sleep(rereadBackoff)
 			t.GetBulk(tb.line[:], tb.a.At(idx))
 		}
-		if ref, ok, stop := locateLine(tb.line[:], key, idx); stop {
-			if ok {
-				tb.memoize(key, ref)
+		if pr.scan(tb.line[:], key, idx) {
+			if pr.hitOK {
+				tb.memoize(key, pr.hit)
 			}
-			return ref, ok
+			break
 		}
 	}
-	return slotRef{}, false
-}
-
-// locateLine scans a consistent line for key's slot: (ref, found,
-// stop), with stop=false meaning the probe must continue.
-func locateLine(line []byte, key uint64, idx int64) (slotRef, bool, bool) {
-	for s := 0; s < slotsPerBucket; s++ {
-		k := binary.LittleEndian.Uint64(line[8+16*s:])
-		if k == key {
-			return slotRef{idx, s}, true, true
-		}
-		if k == emptyKey {
-			return slotRef{}, false, true
-		}
-	}
-	return slotRef{}, false, false
+	return pr.hit, pr.hitOK
 }
 
 func (tb *Table) memoize(key uint64, ref slotRef) {
@@ -567,113 +529,164 @@ func (tb *Table) memoize(key uint64, ref slotRef) {
 // with local writers under the per-node shard lock, so everything they
 // read is consistent (even sequence words) and authoritative.
 func registerHandlers(rt *core.Runtime, g geom) {
-	rt.HandleUser(hLookup, func(c *core.UserCtx) []byte { return lookupAM(c, g) })
-	rt.HandleUser(hPut, func(c *core.UserCtx) []byte { return putAM(c, g) })
-	rt.HandleUser(hDelete, func(c *core.UserCtx) []byte { return deleteAM(c, g) })
+	hs := &amHandlers{g: g}
+	for _, id := range []core.UserHandlerID{hLookup, hPut, hDelete} {
+		rt.HandleUser(id, func(c *core.UserCtx) { hs.start(c, id) })
+	}
 }
 
-func ctxLock(c *core.UserCtx, g geom) *sim.Resource {
-	return c.NodeLocal(g.lockKey, func(k *sim.Kernel) any { return sim.NewResource(k, g.lockKey, 1) }).(*sim.Resource)
+// amHandlers is the run's kv handler state: the geometry and a pool of
+// in-service records.
+type amHandlers struct {
+	g    geom
+	pool []*amOp
 }
 
-// readLineAM reads bucket line idx of the anchor segment into line.
-func readLineAM(c *core.UserCtx, idx int64, line []byte) {
-	c.ReadLocal(c.ChunkOffset(idx), line)
+// amStep is where an amOp's step func resumes it.
+type amStep uint8
+
+const (
+	stLocked      amStep = iota // the shard lock is held
+	stLineRead                  // a probe-window line was read
+	stSeqRead                   // the target line's seq word was read
+	stSeqOdd                    // seq+1 was written
+	stWindowed                  // the write window elapsed
+	stSlotWritten               // the slot was written
+	stSeqEven                   // seq+2 was written
+)
+
+// amOp is one lookup, put or delete AM in service at the home node, as
+// a step machine on a pooled record. It takes the shard lock and probes
+// the window line by line (mirroring Table.scan); a write then runs the
+// seqlock protocol on its target slot — seq odd, window, slot, seq
+// even — and every AM ends by releasing the lock and replying.
+type amOp struct {
+	hs       *amHandlers
+	c        *core.UserCtx
+	id       core.UserHandlerID
+	key, val uint64
+	lock     *sim.Resource
+	step     amStep
+	w, idx   int64 // probe position, and the element index of its line
+	pr       probe
+	tgt      slotRef // the written slot
+	off      int64   // chunk offset of the written line
+	seq      uint64
+	line     [bucketBytes]byte
+	buf      [16]byte
+	stepFn   func()
+}
+
+func (hs *amHandlers) start(c *core.UserCtx, id core.UserHandlerID) {
+	var o *amOp
+	if n := len(hs.pool); n > 0 {
+		o, hs.pool = hs.pool[n-1], hs.pool[:n-1]
+	} else {
+		o = &amOp{hs: hs}
+		o.stepFn = o.resume
+	}
+	o.c, o.id = c, id
+	o.key, o.val = c.Args()
+	o.lock = c.NodeLocal(hs.g.lockKey, func(k *sim.Kernel) any { return sim.NewResource(k, hs.g.lockKey, 1) }).(*sim.Resource)
+	o.step = stLocked
+	c.AcquireC(o.lock, o.stepFn)
+}
+
+// resume is stepFn: continue the AM where it waited.
+func (o *amOp) resume() {
+	switch o.step {
+	case stLocked:
+		o.probe()
+	case stLineRead:
+		o.scanned()
+	case stSeqRead:
+		o.seq = binary.LittleEndian.Uint64(o.buf[:8])
+		o.writeSeq(o.seq+1, stSeqOdd)
+	case stSeqOdd:
+		o.step = stWindowed
+		o.c.SleepC(o.hs.g.window, o.stepFn)
+	case stWindowed:
+		o.writeSlot()
+	case stSlotWritten:
+		o.writeSeq(o.seq+2, stSeqEven)
+	case stSeqEven:
+		o.finish([]byte{statusOK})
+	}
+}
+
+// probe reads the next line of the key's probe window.
+func (o *amOp) probe() {
+	g := o.hs.g
+	o.idx = g.lineIdx(g.shardOf(o.key), (g.bucketOf(o.key)+o.w)%g.buckets)
+	o.step = stLineRead
+	o.c.ReadLocalC(o.c.ChunkOffset(o.idx), o.line[:], o.stepFn)
+}
+
+// scanned scans a probed line for the key and the first free slot, and
+// probes on while the line holds only other keys and tombstones. Then a
+// lookup replies with the key's value, and a write picks its target —
+// the key's own slot, else (put only) the first free one — and reads
+// the line's seq word to start the seqlock write.
+func (o *amOp) scanned() {
+	line := o.line[:]
 	if binary.LittleEndian.Uint64(line[:8])&1 == 1 {
 		panic("kv: odd sequence under the shard lock")
 	}
-}
-
-func lookupAM(c *core.UserCtx, g geom) []byte {
-	key, _ := c.Args()
-	lock := ctxLock(c, g)
-	c.Acquire(lock)
-	defer lock.Release()
-	shard := g.shardOf(key)
-	b0 := g.bucketOf(key)
-	var line [bucketBytes]byte
-	for w := int64(0); w < probeWindow; w++ {
-		readLineAM(c, g.lineIdx(shard, (b0+w)%g.buckets), line[:])
-		if v, ok, stop := scanLine(line[:], key); stop {
-			if !ok {
-				return nil
-			}
-			rep := make([]byte, 8)
-			binary.LittleEndian.PutUint64(rep, v)
-			return rep
-		}
+	pr := &o.pr
+	if o.w++; !pr.scan(line, o.key, o.idx) && o.w < probeWindow {
+		o.probe()
+		return
 	}
-	return nil
-}
-
-// scanAM is the handler-side write scan (mirrors Table.scan).
-func scanAM(c *core.UserCtx, g geom, key uint64, line []byte) (hit, free slotRef, hitOK, freeOK bool) {
-	shard := g.shardOf(key)
-	b0 := g.bucketOf(key)
-	for w := int64(0); w < probeWindow; w++ {
-		idx := g.lineIdx(shard, (b0+w)%g.buckets)
-		readLineAM(c, idx, line)
-		hit, free, hitOK, freeOK = scanLineWrite(line, key, idx, free, freeOK)
-		if hitOK || stopAtEmpty(line) {
-			return
+	switch {
+	case o.id == hLookup && pr.hitOK:
+		o.finish(line[16+16*pr.hit.slot : 24+16*pr.hit.slot])
+	case o.id == hLookup:
+		o.finish(nil)
+	case !pr.hitOK && (o.id == hDelete || !pr.freeOK):
+		o.finish([]byte{statusFail})
+	default:
+		o.tgt = pr.hit
+		if !pr.hitOK {
+			o.tgt = pr.free
 		}
+		o.off = o.c.ChunkOffset(o.tgt.line)
+		o.step = stSeqRead
+		o.c.ReadLocalC(o.off, o.buf[:8], o.stepFn)
 	}
-	return
 }
 
-// writeSlotAM runs the seqlock write protocol through the handler's
-// local-memory primitives; val==tombstone tombstones the key word only.
-func writeSlotAM(c *core.UserCtx, g geom, tgt slotRef, key, val uint64) {
-	off := c.ChunkOffset(tgt.line)
-	var w [16]byte
-	c.ReadLocal(off, w[:8])
-	seq := binary.LittleEndian.Uint64(w[:8])
-	binary.LittleEndian.PutUint64(w[:8], seq+1)
-	c.WriteLocal(off, w[:8])
-	c.Sleep(g.window)
-	slotOff := off + int64(8+16*tgt.slot)
-	if val == tombstone {
-		binary.LittleEndian.PutUint64(w[:8], tombstone)
-		c.WriteLocal(slotOff, w[:8])
+func (o *amOp) writeSeq(seq uint64, step amStep) {
+	binary.LittleEndian.PutUint64(o.buf[:8], seq)
+	o.step = step
+	o.c.WriteLocalC(o.off, o.buf[:8], o.stepFn)
+}
+
+// writeSlot writes the target slot inside the window: the key and value
+// of a put, the tombstone key word of a delete.
+func (o *amOp) writeSlot() {
+	n := 8
+	if o.id == hDelete {
+		binary.LittleEndian.PutUint64(o.buf[:8], tombstone)
 	} else {
-		binary.LittleEndian.PutUint64(w[0:8], key)
-		binary.LittleEndian.PutUint64(w[8:16], val)
-		c.WriteLocal(slotOff, w[:16])
+		binary.LittleEndian.PutUint64(o.buf[0:8], o.key)
+		binary.LittleEndian.PutUint64(o.buf[8:16], o.val)
+		n = 16
 	}
-	binary.LittleEndian.PutUint64(w[:8], seq+2)
-	c.WriteLocal(off, w[:8])
+	o.step = stSlotWritten
+	o.c.WriteLocalC(o.off+int64(8+16*o.tgt.slot), o.buf[:n], o.stepFn)
 }
 
-func putAM(c *core.UserCtx, g geom) []byte {
-	key, val := c.Args()
-	lock := ctxLock(c, g)
-	c.Acquire(lock)
-	defer lock.Release()
-	var line [bucketBytes]byte
-	hit, free, hitOK, freeOK := scanAM(c, g, key, line[:])
-	tgt := hit
-	if !hitOK {
-		if !freeOK {
-			return []byte{statusFail}
-		}
-		tgt = free
-	}
-	writeSlotAM(c, g, tgt, key, val)
-	return []byte{statusOK}
-}
-
-func deleteAM(c *core.UserCtx, g geom) []byte {
-	key, _ := c.Args()
-	lock := ctxLock(c, g)
-	c.Acquire(lock)
-	defer lock.Release()
-	var line [bucketBytes]byte
-	hit, _, hitOK, _ := scanAM(c, g, key, line[:])
-	if !hitOK {
-		return []byte{statusFail}
-	}
-	writeSlotAM(c, g, hit, key, tombstone)
-	return []byte{statusOK}
+// finish releases the shard lock, returns the record to the pool and
+// replies with rep: a write's status byte, a found lookup's value, or
+// nothing for a lookup miss.
+func (o *amOp) finish(rep []byte) {
+	var b [8]byte
+	n := copy(b[:], rep)
+	c := o.c
+	o.lock.Release()
+	*o = amOp{hs: o.hs, stepFn: o.stepFn}
+	o.hs.pool = append(o.hs.pool, o)
+	c.Reply(b[:n])
 }
 
 // splitmix64 is the table's key hash (thread-count-independent, so the

@@ -67,7 +67,7 @@ func BenchmarkResourceContention(b *testing.B) {
 	for w := 0; w < workers; w++ {
 		k.Spawn("worker", func(p *Proc) {
 			for i := 0; i < per; i++ {
-				r.Use(p, 1*Ns)
+				use(p, r, 1*Ns)
 			}
 		})
 	}
@@ -80,11 +80,7 @@ func BenchmarkResourceContention(b *testing.B) {
 func BenchmarkQueueThroughput(b *testing.B) {
 	k := NewKernel()
 	q := NewQueue[int](k, "q")
-	k.SpawnDaemon("consumer", func(p *Proc) {
-		for {
-			q.Pop(p)
-		}
-	})
+	serveQueue(k, "consumer", q, func(int) {})
 	k.Spawn("producer", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			p.Sleep(1 * Ns)

@@ -70,23 +70,33 @@ func (c *Cont) waitingOn() string { return c.state + c.stateArg }
 // kernel context: it must not block, and continues the thread by
 // passing callbacks to the continuation-aware primitives.
 func (k *Kernel) SpawnC(name string, body func(c *Cont)) *Cont {
-	return k.spawnC(name, -1, body)
+	return k.spawnC(name, -1, body, false)
 }
 
 // SpawnCIdx is SpawnC with an index-derived name (prefix + idx,
 // rendered only when diagnostics ask for it), so mass spawns allocate
 // no name strings.
 func (k *Kernel) SpawnCIdx(prefix string, idx int, body func(c *Cont)) *Cont {
-	return k.spawnC(prefix, idx, body)
+	return k.spawnC(prefix, idx, body, false)
 }
 
-func (k *Kernel) spawnC(prefix string, idx int, body func(c *Cont)) *Cont {
+// SpawnDaemon is SpawnC for a service engine — a callback loop that
+// waits on a queue forever, such as a node's AM handler context. A
+// daemon is never live: it does not keep deadlock detection armed, so
+// Run returns cleanly once only daemons wait, and it needs no Finish.
+func (k *Kernel) SpawnDaemon(name string, body func(c *Cont)) *Cont {
+	return k.spawnC(name, -1, body, true)
+}
+
+func (k *Kernel) spawnC(prefix string, idx int, body func(c *Cont), daemon bool) *Cont {
 	k.procSeq++
 	c := &Cont{k: k, namePrefix: prefix, nameIdx: idx, seq: k.procSeq, state: "starting"}
-	if k.conts == nil {
-		k.conts = make(map[*Cont]struct{})
+	if !daemon {
+		if k.conts == nil {
+			k.conts = make(map[*Cont]struct{})
+		}
+		k.conts[c] = struct{}{}
 	}
-	k.conts[c] = struct{}{}
 	k.schedule(k.now, func() {
 		if c.finished { // Shutdown ran before the start event
 			return

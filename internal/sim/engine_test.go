@@ -81,21 +81,17 @@ func goroutinesSettleTo(t *testing.T, baseline int) int {
 }
 
 // TestShutdownReleasesGoroutines drives a run that ends with daemons
-// (and, via Stop, regular processes) still suspended, plus a process
-// whose start event never ran, and checks Shutdown releases all their
-// coroutines instead of leaking them — without running the one that
-// never started.
+// waiting and, via Stop, regular processes still suspended, plus a
+// process whose start event never ran, and checks Shutdown releases
+// all their coroutines instead of leaking them — without running the
+// one that never started.
 func TestShutdownReleasesGoroutines(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for round := 0; round < 20; round++ {
 		k := NewKernel()
 		q := NewQueue[int](k, "inbox")
 		for d := 0; d < 4; d++ {
-			k.SpawnDaemon("daemon", func(p *Proc) {
-				for {
-					q.Pop(p)
-				}
-			})
+			serveQueue(k, "daemon", q, func(int) {})
 		}
 		k.Spawn("stopper", func(p *Proc) {
 			p.Sleep(5)

@@ -181,21 +181,14 @@ func (k *Kernel) AfterTimer(d Duration, fn func()) *Timer {
 // it to start at the current time. It may be called before Run or from
 // any process or callback during the run.
 func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
-	return k.spawn(name, -1, body, false)
+	return k.spawn(name, -1, body)
 }
 
 // SpawnIdx is Spawn with an index-derived name (prefix + idx, rendered
 // only when diagnostics ask for it), so spawning 128k threads performs
 // no name formatting or string allocation.
 func (k *Kernel) SpawnIdx(prefix string, idx int, body func(p *Proc)) *Proc {
-	return k.spawn(prefix, idx, body, false)
-}
-
-// SpawnDaemon creates a service process (a dispatcher loop) that is
-// expected to block forever: it does not keep Run alive and is ignored
-// by deadlock detection. Run returns cleanly once only daemons remain.
-func (k *Kernel) SpawnDaemon(name string, body func(p *Proc)) *Proc {
-	return k.spawn(name, -1, body, true)
+	return k.spawn(prefix, idx, body)
 }
 
 // Run executes events until the event queue drains, Stop is called, or
@@ -219,13 +212,8 @@ func (k *Kernel) Run() error {
 			k.heap.popEv()
 		}
 		if k.heap.Len() == 0 {
-			if len(k.conts) > 0 {
+			if len(k.procs) > 0 || len(k.conts) > 0 {
 				return k.deadlock()
-			}
-			for p := range k.procs {
-				if !p.daemon {
-					return k.deadlock()
-				}
 			}
 			return nil
 		}
@@ -256,8 +244,8 @@ func (k *Kernel) Run() error {
 	return nil
 }
 
-// Shutdown releases the coroutines of every live process — suspended,
-// not-yet-started, or daemon — by stopping each in spawn order: a
+// Shutdown releases the coroutines of every live process — suspended
+// or not yet started — by stopping each in spawn order: a
 // suspended body unwinds, one that never started never runs. Call it
 // once a kernel is done (after Run returns, whether normally, by
 // Stop/SetLimit, or with a deadlock); sweeps that build hundreds of
@@ -316,9 +304,6 @@ func (k *Kernel) deadlock() error {
 	var blocked []string
 	var procs []BlockedProc
 	for p := range k.procs {
-		if p.daemon {
-			continue
-		}
 		blocked = append(blocked, p.Name()+": "+p.c.waitingOn())
 		procs = append(procs, BlockedProc{Name: p.Name(), State: p.c.waitingOn(), Since: p.c.since})
 	}

@@ -201,7 +201,7 @@ func TestResourceContentionSerializes(t *testing.T) {
 	var ends []Time
 	for i := 0; i < 3; i++ {
 		k.Spawn("worker", func(p *Proc) {
-			r.Use(p, 10*Us)
+			use(p, r, 10*Us)
 			ends = append(ends, p.Now())
 		})
 	}
@@ -232,7 +232,7 @@ func TestResourceCapacityParallelism(t *testing.T) {
 	var ends []Time
 	for i := 0; i < 4; i++ {
 		k.Spawn("worker", func(p *Proc) {
-			r.Use(p, 10*Us)
+			use(p, r, 10*Us)
 			ends = append(ends, p.Now())
 		})
 	}
@@ -311,7 +311,7 @@ func TestQueuePushPop(t *testing.T) {
 	var at []Time
 	k.Spawn("consumer", func(p *Proc) {
 		for i := 0; i < 3; i++ {
-			got = append(got, q.Pop(p))
+			got = append(got, pop(p, q))
 			at = append(at, p.Now())
 		}
 	})
@@ -339,7 +339,7 @@ func TestQueueMultipleConsumers(t *testing.T) {
 	q := NewQueue[int](k, "mbox")
 	sum := 0
 	for i := 0; i < 3; i++ {
-		k.Spawn("consumer", func(p *Proc) { sum += q.Pop(p) })
+		k.Spawn("consumer", func(p *Proc) { sum += pop(p, q) })
 	}
 	k.Spawn("producer", func(p *Proc) {
 		p.Sleep(1 * Us)
@@ -515,7 +515,7 @@ func TestDeterminism(t *testing.T) {
 			d := Time(rng.Intn(1000)) * Ns
 			k.Spawn("w", func(p *Proc) {
 				p.Sleep(d)
-				r.Use(p, Time(rng.Intn(500))*Ns)
+				use(p, r, Time(rng.Intn(500))*Ns)
 				ends = append(ends, p.Now())
 			})
 		}
@@ -614,7 +614,7 @@ func TestPropertyResourceMakespan(t *testing.T) {
 		k := NewKernel()
 		r := NewResource(k, "r", c)
 		for i := 0; i < n; i++ {
-			k.Spawn("w", func(p *Proc) { r.Use(p, 1*Us) })
+			k.Spawn("w", func(p *Proc) { use(p, r, 1*Us) })
 		}
 		if err := k.Run(); err != nil {
 			return false
@@ -627,16 +627,46 @@ func TestPropertyResourceMakespan(t *testing.T) {
 	}
 }
 
+// use holds a slot of r for service time d.
+func use(p *Proc, r *Resource, d Duration) {
+	r.Acquire(p)
+	p.Sleep(d)
+	r.Release()
+}
+
+// pop takes the oldest item of q, suspending p until one is queued.
+func pop[T any](p *Proc, q *Queue[T]) T {
+	for {
+		if v, ok := q.PopC(p.Cont(), p.WakeFn()); ok {
+			return v
+		}
+		p.Suspend()
+	}
+}
+
+// serveQueue spawns a daemon continuation that pops q forever, passing
+// each item to fn.
+func serveQueue(k *Kernel, name string, q *Queue[int], fn func(int)) *Cont {
+	return k.SpawnDaemon(name, func(c *Cont) {
+		var next func()
+		next = func() {
+			for {
+				v, ok := q.PopC(c, next)
+				if !ok {
+					return
+				}
+				fn(v)
+			}
+		}
+		next()
+	})
+}
+
 func TestDaemonDoesNotDeadlock(t *testing.T) {
 	k := NewKernel()
 	q := NewQueue[int](k, "svc")
 	served := 0
-	k.SpawnDaemon("dispatcher", func(p *Proc) {
-		for {
-			q.Pop(p)
-			served++
-		}
-	})
+	serveQueue(k, "dispatcher", q, func(int) { served++ })
 	k.Spawn("client", func(p *Proc) {
 		p.Sleep(1 * Us)
 		q.Push(1)
@@ -653,7 +683,7 @@ func TestDaemonDoesNotDeadlock(t *testing.T) {
 
 func TestDaemonExcludedFromDeadlockReport(t *testing.T) {
 	k := NewKernel()
-	k.SpawnDaemon("svc", func(p *Proc) { p.Wait(NewCompletion(k, "never-svc")) })
+	k.SpawnDaemon("svc", func(c *Cont) { NewCompletion(k, "never-svc").WaitFn(c, func() {}) })
 	k.Spawn("stuck", func(p *Proc) { p.Wait(NewCompletion(k, "never-user")) })
 	err := k.Run()
 	var dl *DeadlockError

@@ -22,8 +22,7 @@ import (
 // inline, adding no event of its own. A Proc's methods may only be
 // called from its own body.
 type Proc struct {
-	c      Cont // name, diagnostics, and the handle the …C primitives take
-	daemon bool // service loop; ignored by deadlock detection
+	c Cont // name, diagnostics, and the handle the …C primitives take
 
 	next   func() (struct{}, bool)
 	stop   func()
@@ -32,7 +31,6 @@ type Proc struct {
 
 	parked   bool   // suspended (or not yet started): a wake resumes it
 	woken    bool   // a wake fired before the matching suspend
-	resumes  int64  // coroutine switches into the body, the start included
 	panicked string // attributed panic message, set when the body panicked
 }
 
@@ -46,11 +44,10 @@ type poisonPill struct{}
 // process re-raises it unchanged instead of claiming it.
 type procPanic string
 
-func (k *Kernel) spawn(prefix string, idx int, body func(p *Proc), daemon bool) *Proc {
+func (k *Kernel) spawn(prefix string, idx int, body func(p *Proc)) *Proc {
 	k.procSeq++
 	p := &Proc{
 		c:      Cont{k: k, namePrefix: prefix, nameIdx: idx, seq: k.procSeq, state: "starting"},
-		daemon: daemon,
 		parked: true,
 	}
 	p.wakeFn = p.wake
@@ -85,7 +82,6 @@ func (p *Proc) wake() {
 		return
 	}
 	p.parked = false
-	p.resumes++
 	k := p.c.k
 	prev := k.running
 	k.running = p
@@ -99,11 +95,6 @@ func (p *Proc) wake() {
 		panic(msg)
 	}
 }
-
-// Resumes reports how many times the process's coroutine was switched
-// into, its start included; a wake that arrives while the body runs
-// costs no switch and is not counted.
-func (p *Proc) Resumes() int64 { return p.resumes }
 
 // WakeFn returns the process's pre-bound wake callback, to pass as the
 // continuation of a …C operation before calling Suspend. It is the

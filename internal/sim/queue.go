@@ -11,7 +11,7 @@ type Queue[T any] struct {
 	popState string // precomputed park diagnostic
 	items    []T    // live window is items[head:]
 	head     int
-	waiters  []func() // parked Pop and PopC consumers
+	waiters  []func() // parked PopC consumers
 	notify   func()   // callback consumer hook, invoked after each Push
 	pushes   int64
 	maxLen   int
@@ -80,22 +80,12 @@ func (q *Queue[T]) take() T {
 	return v
 }
 
-// Pop removes and returns the oldest item, blocking p until one is
-// available.
-func (q *Queue[T]) Pop(p *Proc) T {
-	for q.Len() == 0 {
-		q.await(&p.c, p.wakeFn)
-		p.Suspend()
-	}
-	return q.take()
-}
-
-// PopC is the callback form of Pop for a continuation with a
-// pre-bound retry: it removes and returns the oldest item when one is
-// queued; otherwise it registers retry to be woken by the next Push
-// and reports false. retry must call PopC again — another consumer may
-// have drained the queue first — which keeps Pop's FIFO waiter order,
-// re-registration at the back after a lost race included.
+// PopC takes the oldest item for a continuation with a pre-bound
+// retry: it removes and returns the oldest item when one is queued;
+// otherwise it registers retry to be woken by the next Push and reports
+// false. retry must call PopC again — another consumer may have drained
+// the queue first — so waiters are served FIFO, and one that lost a
+// race re-registers at the back.
 func (q *Queue[T]) PopC(ct *Cont, retry func()) (v T, ok bool) {
 	if q.Len() > 0 {
 		return q.take(), true

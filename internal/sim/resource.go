@@ -135,14 +135,6 @@ func (r *Resource) Release() {
 	r.inUse--
 }
 
-// Use acquires a slot, holds it for service time d, and releases it.
-// This is the common "get served" pattern.
-func (r *Resource) Use(p *Proc, d Duration) {
-	r.Acquire(p)
-	p.Sleep(d)
-	r.Release()
-}
-
 // ResourceStats is a snapshot of a resource's accounting counters.
 type ResourceStats struct {
 	Acquires  int64

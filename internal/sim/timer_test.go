@@ -85,7 +85,7 @@ func TestDeadlockErrorDetails(t *testing.T) {
 	})
 	k.Spawn("popper", func(p *Proc) {
 		p.Sleep(2 * Us)
-		q.Pop(p)
+		pop(p, q)
 	})
 	err := k.Run()
 	var de *DeadlockError
@@ -137,7 +137,7 @@ func TestShutdownWhileBlockedOnResourceAndQueue(t *testing.T) {
 		t.Error("acquired a resource held across Shutdown")
 	})
 	k.Spawn("blocked-on-queue", func(p *Proc) {
-		q.Pop(p)
+		pop(p, q)
 		t.Error("popped from an empty queue across Shutdown")
 	})
 	k.Spawn("stopper", func(p *Proc) {

@@ -21,15 +21,13 @@ import (
 //
 // Every step is a pre-bound func on the context, scheduling exactly the
 // events a dispatcher process looping on the queue would, so handlers
-// cost no coroutine switch. Each context still owns a coroutine,
-// spawned where the dispatcher process was: its start event registers
-// the context on the queue, and afterwards it runs only the blocking
-// bodies handlers hand it with Block.
+// cost no coroutine switch. The context is a daemon continuation: no
+// coroutine stands behind it, and its start event, which registers it
+// on the queue, is a plain scheduled callback.
 type HandlerCtx struct {
 	m  *Machine
 	nd *Node
 	q  *sim.Queue[any]
-	p  *sim.Proc
 	ct *sim.Cont
 
 	// The individual message in service, or the coalesced frame and
@@ -47,10 +45,6 @@ type HandlerCtx struct {
 	// arriving inline meanwhile sets again instead of recursing, so a
 	// backlog of inline-served messages runs in a loop.
 	serving, again bool
-
-	// The body and continuation handed over by Block.
-	body func(p *sim.Proc)
-	then func()
 
 	nextFn, acquiredFn, receivedFn, doneFn   func()
 	batchAcquiredFn, batchNextFn, batchSubFn func()
@@ -73,24 +67,8 @@ func (m *Machine) startHandlerCtxs(nd *Node) {
 		hc.batchSubFn = hc.batchSub
 		hc.batchDoneFn = hc.batchDone
 		hc.batchEndFn = hc.batchEnd
-		hc.p = m.K.SpawnDaemon(fmt.Sprintf("node%d.amdisp%d", nd.ID, c), hc.run)
-		hc.ct = hc.p.Cont()
+		hc.ct = m.K.SpawnDaemon(fmt.Sprintf("node%d.amdisp%d", nd.ID, c), func(*sim.Cont) { hc.next() })
 		nd.ctxs = append(nd.ctxs, hc)
-	}
-}
-
-// run is the context's coroutine: register on the queue, then run each
-// body Block hands over. A body handed over while the coroutine is
-// still finishing the previous one finds the wake already recorded, so
-// Suspend returns at once.
-func (hc *HandlerCtx) run(p *sim.Proc) {
-	hc.next()
-	for {
-		p.Suspend()
-		body, then := hc.body, hc.then
-		hc.body, hc.then = nil, nil
-		body(p)
-		then()
 	}
 }
 
@@ -99,30 +77,6 @@ func (hc *HandlerCtx) Node() *Node { return hc.nd }
 
 // Cont is the handle handlers pass to the …C primitives and sends.
 func (hc *HandlerCtx) Cont() *sim.Cont { return hc.ct }
-
-// Block runs body on the context's coroutine, which may block in it
-// (Sleep, Resource.Acquire), then runs then. It is the one way a
-// handler executes blocking code; every built-in handler is callbacks
-// only.
-func (hc *HandlerCtx) Block(body func(p *sim.Proc), then func()) {
-	hc.body, hc.then = body, then
-	hc.p.WakeFn()()
-}
-
-// HandlerResumes reports how many times the machine's handler-context
-// coroutines were resumed after their start events: one per Block
-// body, plus one per wake a blocked body waited for.
-func (m *Machine) HandlerResumes() int64 {
-	var n int64
-	for _, nd := range m.Nodes {
-		for _, hc := range nd.ctxs {
-			if r := hc.p.Resumes(); r > 0 {
-				n += r - 1
-			}
-		}
-	}
-	return n
-}
 
 // next serves the next queued message, or waits for one. It is also
 // the wait's retry: woken by a Push, the context may find the message

@@ -54,38 +54,3 @@ func TestHandlerCtxsKeepDispatcherOrder(t *testing.T) {
 		t.Fatalf("%d kernel events, want 28", ev)
 	}
 }
-
-// A blocking body handed to the coroutine while it is still finishing
-// the previous one — the previous body's continuation served the next
-// message inline, because RecvOverhead is zero and Comm is free — runs
-// once the coroutine gets back to its loop, with no switch of its own.
-func TestBlockWhileCoroutineFinishing(t *testing.T) {
-	prof := GM()
-	prof.RecvOverhead = 0
-	k, m := newTestMachine(t, prof, 2)
-	var served []string
-	m.Handle(hPing, func(hc *HandlerCtx, msg *Msg, done func()) {
-		name := msg.Meta.(string)
-		hc.Block(func(p *sim.Proc) {
-			p.Sleep(sim.Us)
-			served = append(served, fmt.Sprintf("%s@%v", name, p.Now()))
-		}, done)
-	})
-	pushAt(k, m, 1, sim.Us, hPing, "first")
-	pushAt(k, m, 1, sim.Us, hPing, "second")
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := strings.Join(served, " "), "first@2.000us second@3.000us"; got != want {
-		t.Fatalf("served %q, want %q", got, want)
-	}
-	// Resumed to run the first body and once per sleep; the second body
-	// started on the running coroutine.
-	if n := m.HandlerResumes(); n != 3 {
-		t.Fatalf("%d coroutine resumes, want 3", n)
-	}
-	// The same handler written as a dispatcher-process body took 7.
-	if ev := k.Events(); ev != 7 {
-		t.Fatalf("%d kernel events, want 7", ev)
-	}
-}

@@ -17,11 +17,11 @@ type HandlerID uint8
 
 // Handler serves one active message on one of the target node's
 // handler contexts, as kernel callbacks: the context holds Comm and has
-// charged the base RecvOverhead. It may sleep on and send from
-// hc.Cont(), touch the node's memory and pin table, and hand a blocking
-// body to the context's coroutine with hc.Block. It must call done
-// exactly once, as its last act, when the message is served; the
-// context then releases Comm and serves its next message.
+// charged the base RecvOverhead. It may sleep on, acquire from and
+// send from hc.Cont(), and touch the node's memory and pin table; it
+// never blocks. It must call done exactly once, as its last act, when
+// the message is served; the context then releases Comm and serves its
+// next message.
 type Handler func(hc *HandlerCtx, m *Msg, done func())
 
 // Msg is one active message.

@@ -78,6 +78,37 @@ type relKey struct {
 	epoch    uint32
 }
 
+// relChan is one sender incarnation's channel: (src, dst, epoch).
+type relChan struct {
+	src, dst int32
+	epoch    uint32
+}
+
+// dedupWin is a channel's receiver-side delivery record: every seq
+// below floor has been delivered, and above holds the delivered seqs
+// past it (arrivals that overtook a lost or delayed packet). Its size
+// follows the channel's reordering, not its traffic.
+type dedupWin struct {
+	floor uint64
+	above map[uint64]struct{}
+}
+
+// first records the delivery of seq, reporting false for a replay.
+func (d *dedupWin) first(seq uint64) bool {
+	if _, dup := d.above[seq]; dup || seq < d.floor {
+		return false
+	}
+	if d.above == nil {
+		d.above = make(map[uint64]struct{})
+	}
+	for d.above[seq] = struct{}{}; ; d.floor++ {
+		if _, ok := d.above[d.floor]; !ok {
+			return true
+		}
+		delete(d.above, d.floor)
+	}
+}
+
 // relPacket is the sender-side retransmission state of one in-flight
 // packet.
 type relPacket struct {
@@ -105,7 +136,7 @@ type reliability struct {
 
 	nextSeq  map[uint64]uint64 // channel (src<<32|dst) -> next seq
 	inflight map[relKey]*relPacket
-	seen     map[relKey]struct{} // receiver-side dedup
+	seen     map[relChan]*dedupWin // receiver-side dedup
 
 	stats  RelStats
 	failed *TransportError // first exhausted budget; ends the run
@@ -122,7 +153,7 @@ func (m *Machine) EnableChaos(inj *fault.Injector, rc RelConfig) {
 		cfg:      rc,
 		nextSeq:  make(map[uint64]uint64),
 		inflight: make(map[relKey]*relPacket),
-		seen:     make(map[relKey]struct{}),
+		seen:     make(map[relChan]*dedupWin),
 	}
 	m.rel = rl
 	if inj != nil {
@@ -304,8 +335,13 @@ func (rl *reliability) deliver(dst int, class fabric.Class, raw any) {
 		// Always ACK — a replay means the first ACK was lost, and only
 		// a fresh one stops the sender's timer.
 		rl.sendAck(v)
-		key := relKey{v.src, v.dst, v.seq, v.epoch}
-		if _, dup := rl.seen[key]; dup {
+		ch := relChan{v.src, v.dst, v.epoch}
+		d := rl.seen[ch]
+		if d == nil {
+			d = &dedupWin{}
+			rl.seen[ch] = d
+		}
+		if !d.first(v.seq) {
 			rl.stats.DupSuppressed++
 			if rl.m.Tel != nil {
 				rl.m.Tel.Add("xlupc_transport_dup_suppressed_total", `class="`+classLabel(v.class)+`"`, 1)
@@ -316,7 +352,6 @@ func (rl *reliability) deliver(dst int, class fabric.Class, raw any) {
 			})
 			return
 		}
-		rl.seen[key] = struct{}{}
 		port := rl.m.Fab.Port(dst)
 		if v.class == fabric.ClassDMA {
 			port.DMA.Push(v.inner)

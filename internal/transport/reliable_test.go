@@ -1,9 +1,11 @@
 package transport
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"xlupc/internal/fabric"
 	"xlupc/internal/fault"
 	"xlupc/internal/mem"
 	"xlupc/internal/sim"
@@ -91,6 +93,60 @@ func TestReliableDeliversExactlyOnceUnderChaos(t *testing.T) {
 	}
 	if rs.DupSuppressed == 0 {
 		t.Fatal("duplicates happened but none were suppressed")
+	}
+}
+
+// Receiver-side dedup state is one record per channel however many
+// packets cross it: a floor and an empty overtaken set once delivery is
+// in order. A replay of a seq below the floor is still suppressed.
+func TestDedupStateStaysBounded(t *testing.T) {
+	k, m := chaosMachine(t, 2, fault.Config{}, DefaultRelConfig())
+	const pings = 500
+	got := 0
+	m.Handle(hPing, func(_ *HandlerCtx, _ *Msg, done func()) { got++; done() })
+	k.Spawn("sender", func(p *sim.Proc) {
+		for i := 0; i < pings; i++ {
+			m.SendAM(p, 0, 1, hPing, nil, nil, 0)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got != pings {
+		t.Fatalf("delivered %d of %d", got, pings)
+	}
+	ch := relChan{src: 0, dst: 1, epoch: m.Nodes[0].Epoch}
+	d := m.rel.seen[ch]
+	if len(m.rel.seen) != 1 || d == nil || d.floor != pings || len(d.above) != 0 {
+		t.Fatalf("dedup state after %d in-order packets: %d channels, %+v", pings, len(m.rel.seen), d)
+	}
+	m.rel.deliver(1, fabric.ClassAM, &envelope{src: 0, dst: 1, seq: 7, epoch: ch.epoch, class: fabric.ClassAM})
+	if rs := m.RelStats(); rs.DupSuppressed != 1 {
+		t.Fatalf("replayed seq 7 suppressed %d times, want 1", rs.DupSuppressed)
+	}
+	if n := m.Fab.Port(1).AM.Len(); n != 0 {
+		t.Fatalf("replay reached the AM queue (%d queued)", n)
+	}
+}
+
+// Out-of-order arrivals wait above the floor until the gap closes, and
+// each seq is accepted exactly once.
+func TestDedupWindowOutOfOrder(t *testing.T) {
+	var d dedupWin
+	for _, seq := range []uint64{2, 0, 2, 3, 0, 1, 4, 1} {
+		d.first(seq)
+	}
+	if d.floor != 5 || len(d.above) != 0 {
+		t.Fatalf("window after 0..4 out of order: %+v", d)
+	}
+	var accepted []uint64
+	for _, seq := range []uint64{7, 5, 7, 6, 4} {
+		if d.first(seq) {
+			accepted = append(accepted, seq)
+		}
+	}
+	if fmt.Sprint(accepted) != "[7 5 6]" || d.floor != 8 || len(d.above) != 0 {
+		t.Fatalf("accepted %v, window %+v; want [7 5 6], floor 8", accepted, d)
 	}
 }
 

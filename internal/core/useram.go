@@ -9,7 +9,7 @@ package core
 // callbacks on the target node's AM handler context, like every
 // built-in handler: it waits only through the UserCtx's …C primitives
 // and ends with Reply. Request arguments travel as two uint64s in the
-// envelope and the reply is at most two words; anything larger belongs
+// envelope and the reply is at most one word; anything larger belongs
 // in shared memory.
 
 import (
@@ -30,8 +30,9 @@ type UserHandlerID uint8
 // maxUserHandlers bounds the user handler table.
 const maxUserHandlers = 8
 
-// maxUserReply bounds a user AM's reply payload: two words.
-const maxUserReply = 16
+// maxUserReply bounds a user AM's reply payload: one word, so the reply
+// record that carries it (userRep) fits a 64-byte allocation.
+const maxUserReply = 8
 
 // UserHandler executes one user AM at the target node. It must not
 // block: each …C primitive of the UserCtx takes the rest of the handler
@@ -170,7 +171,8 @@ func (c *UserCtx) NodeLocal(key string, build func(k *sim.Kernel) any) any {
 // lives here.
 func (c *UserCtx) ChunkOffset(idx int64) int64 {
 	cfg, cb := c.o.rt.cfg, c.o.cb
-	return NewLayout(cfg.Threads, cfg.ThreadsPerNode(), cb.ElemSize, cb.Block, cb.NumElems).ChunkOffset(idx)
+	l := NewLayout(cfg.Threads, cfg.ThreadsPerNode(), cb.ElemSize, cb.Block, cb.NumElems)
+	return l.ChunkOffset(idx)
 }
 
 func (ns *nodeState) nodeLocal(key string, build func(k *sim.Kernel) any) any {

@@ -244,6 +244,41 @@ func TestPutDeleteGet(t *testing.T) {
 	}
 }
 
+// A value whose bits equal the tombstone sentinel is an ordinary value:
+// a put stores it whether it runs at the home node or ships as an AM.
+func TestPutTombstoneBitsValue(t *testing.T) {
+	cfg := core.Config{Threads: 4, Nodes: 2, Profile: transport.GM(), Cache: core.DefaultCache(), Seed: 3}
+	rt, err := core.NewRuntime(cfg)
+	if err != nil {
+		t.Fatalf("NewRuntime: %v", err)
+	}
+	remote := 0
+	_, err = rt.Run(func(th *core.Thread) {
+		tb := New(th, Options{Name: "ones", NumKeys: 64})
+		th.Barrier()
+		if th.ID() == 0 {
+			for k := uint64(1); k <= 16; k++ {
+				if tb.HomeNode(k) != th.Node() {
+					remote++
+				}
+				if !tb.Put(th, k, tombstone) {
+					t.Errorf("put %d failed", k)
+				}
+				if v, ok := tb.Get(th, k); !ok || v != tombstone {
+					t.Errorf("key %d (home node %d): get = %#x, %v after putting %#x", k, tb.HomeNode(k), v, ok, tombstone)
+				}
+			}
+		}
+		th.Barrier()
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if remote == 0 {
+		t.Fatal("no key shipped its put as an AM")
+	}
+}
+
 // TestZipfShape sanity-checks the sampler: ranks stay in range, skew
 // favours rank 1, and theta 0 is uniform-ish.
 func TestZipfShape(t *testing.T) {
